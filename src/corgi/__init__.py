@@ -12,7 +12,6 @@ from .analysis import (
     adjacent_step_cka,
     analyze_model,
     block_ablation,
-    cost_report,
     divergence,
 )
 from .contribution import cka, contribution_scores, rank_ascending
@@ -30,7 +29,7 @@ from .model import (
     extract_cross_attention,
     run_reference,
 )
-from .numerics import SeededRng, derive_seed, frobenius_norm, rng_standard_normal, softmax_rows
+from .numerics import SeededRng, derive_seed, frobenius_norm, softmax_rows
 from .policy import (
     CorgiConfig,
     PolicyKind,
@@ -41,9 +40,9 @@ from .policy import (
     select_cached,
 )
 from .runtime import (
-    BlockCache,
     CacheMiss,
     Trace,
+    cost_report,
     execute_block_cached,
     execute_block_corgi_plus,
     masked_merge,

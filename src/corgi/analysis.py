@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contribution import cka
-from .cost import CostReport, build_cost_report
 from .model import Matrix, Model, ReferenceTrajectory, run_reference
-from .runtime import Trace
+from .runtime import Trace, cost_report  # noqa: F401  (cost_report re-exported)
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -30,29 +29,6 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def cost_report(trace: Trace) -> CostReport:
-    """Recompute the analytic cost of a trace from its step records."""
-    model = trace.config["model"]
-    if len(trace.steps) != model["total_steps"]:
-        raise ValueError(
-            f"incomplete trace: {len(trace.steps)} of {model['total_steps']} steps"
-        )
-    salient_sizes = None
-    if trace.saliency is not None:
-        salient_sizes = {
-            entry["block"]: len(entry["text"]) + len(entry["image"])
-            for entry in trace.saliency
-        }
-    return build_cost_report(
-        [list(r.modes) for r in trace.steps],
-        model["text_tokens"] + model["image_tokens"],
-        model["hidden_dim"],
-        model["ffn_dim"],
-        model["num_heads"],
-        salient_sizes,
-    )
 
 
 @dataclass

@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     try:
         cfg = merge_config(parser, args)
         return args.func(parser, cfg)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, FloatingPointError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 1
 

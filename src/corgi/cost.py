@@ -33,16 +33,14 @@ def flops_block(
     seq_len: int,
     dim: int,
     ffn_dim: int,
-    num_heads: int,
     mode: str,
     salient: int = 0,
 ) -> int:
     """FLOPs of one block execution in the given mode.
 
-    num_heads does not change the totals (head splits repartition the same
-    products) but is part of the cost signature for completeness.
+    The head count does not change the totals: head splits repartition the
+    same products.
     """
-    del num_heads
     if mode == MODE_FULL:
         return flops_attn_full(seq_len, dim) + flops_ffn_full(seq_len, dim, ffn_dim)
     if mode == MODE_CACHED:
@@ -102,7 +100,6 @@ def build_cost_report(
     seq_len: int,
     dim: int,
     ffn_dim: int,
-    num_heads: int,
     salient_sizes: dict[int, int] | None = None,
 ) -> CostReport:
     """Aggregate per-(step, block) modes into a CostReport.
@@ -110,7 +107,7 @@ def build_cost_report(
     salient_sizes maps block index -> |S_i| for cached_partial costing.
     """
     salient_sizes = salient_sizes or {}
-    full_block = flops_block(seq_len, dim, ffn_dim, num_heads, MODE_FULL)
+    full_block = flops_block(seq_len, dim, ffn_dim, MODE_FULL)
     per_step = []
     actual = 0
     computed = 0
@@ -119,7 +116,7 @@ def build_cost_report(
         counts = {MODE_FULL: 0, MODE_CACHED: 0, MODE_CACHED_PARTIAL: 0}
         for b, mode in enumerate(modes):
             step_flops += flops_block(
-                seq_len, dim, ffn_dim, num_heads, mode, salient=salient_sizes.get(b, 0)
+                seq_len, dim, ffn_dim, mode, salient=salient_sizes.get(b, 0)
             )
             counts[mode] += 1
         computed += counts[MODE_FULL]

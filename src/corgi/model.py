@@ -300,7 +300,6 @@ class ReferenceTrajectory:
     config: ModelConfig
     noise_preds: list[Matrix] = field(default_factory=list)
     latents: list[Matrix] = field(default_factory=list)
-    block_outputs: list[list[BlockOutputs]] = field(default_factory=list)
 
     @property
     def final_output(self) -> Matrix:
@@ -333,26 +332,13 @@ def run_reference(
     traj = ReferenceTrajectory(config=cfg)
     for step in range(cfg.total_steps):
         h = initial_hidden(model, x, step, text_embed)
-        per_block = []
         for b, block in enumerate(model.blocks):
-            if b in pruned_blocks:
-                zero = np.zeros_like(h)
-                outs = BlockOutputs(
-                    attn_out=zero,
-                    ffn_out=zero,
-                    block_out=h,
-                    joint_attention=np.full((cfg.seq_len, cfg.seq_len), 1.0 / cfg.seq_len),
-                    cross_map=np.full((cfg.image_tokens, cfg.text_tokens), 1.0 / cfg.seq_len),
-                )
-            else:
-                outs = block_forward(block, h, cfg.text_tokens)
-            per_block.append(outs)
-            h = outs.block_out
+            if b not in pruned_blocks:
+                h = block_forward(block, h, cfg.text_tokens).block_out
         eps = predict_noise(model, h)
         if not np.isfinite(eps).all():
             raise FloatingPointError(f"non-finite noise prediction at step {step}")
         x = denoise_step_mean(x, eps, cfg.total_steps - step, model.schedule)
         traj.noise_preds.append(eps)
         traj.latents.append(x)
-        traj.block_outputs.append(per_block)
     return traj

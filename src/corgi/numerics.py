@@ -100,11 +100,6 @@ class SeededRng:
         return out.reshape(rows, cols)
 
 
-def rng_standard_normal(rng: SeededRng, rows: int, cols: int) -> Matrix:
-    """Draw a rows x cols matrix of i.i.d. standard normals, advancing rng."""
-    return rng.standard_normal(rows, cols)
-
-
 def ensure_matrix(m, name: str = "matrix") -> Matrix:
     """Coerce to a nonempty finite 2-D float64 array or raise ValueError."""
     a = np.asarray(m, dtype=np.float64)

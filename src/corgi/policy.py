@@ -6,6 +6,9 @@ boundary step; the j-th step after a boundary caches the
 min(gamma + (j-1)*delta, B) lowest-contribution blocks, ranked at the
 boundary. Baselines (per-step naive / parity / random) skip the interval
 machinery and cache a fixed-size set at every post-warm-up step.
+
+Every policy is a schedule object (see :func:`make_schedule`) that the
+runtime engine drives one step at a time; the engine itself knows no policy.
 """
 
 from __future__ import annotations
@@ -13,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .numerics import SeededRng
+import numpy as np
+
+from .contribution import contribution_scores, rank_ascending
+from .model import BlockOutputs, ModelConfig
+from .numerics import Matrix, SeededRng, derive_seed
+from .saliency import SalientTokenSet, build_mask, identify_salient
 
 WARMUP = "warmup"
 BOUNDARY = "boundary"
@@ -27,14 +35,6 @@ class PolicyKind(str, Enum):
     PER_STEP_NAIVE = "per_step_naive"
     PARITY = "parity"
     RANDOM = "random"
-
-
-INTERVAL_POLICIES = (PolicyKind.CORGI, PolicyKind.CORGI_PLUS)
-BASELINE_POLICIES = (
-    PolicyKind.PER_STEP_NAIVE,
-    PolicyKind.PARITY,
-    PolicyKind.RANDOM,
-)
 
 
 @dataclass(frozen=True)
@@ -160,3 +160,120 @@ def baseline_directives(
             raise ValueError("per_step_naive needs a contribution ranking")
         return set(ranking[:half])
     raise ValueError(f"{kind} is not a baseline policy")
+
+
+class IntervalSchedule:
+    """corgi and corgi_plus: warm-up, then D-step intervals.
+
+    Each boundary re-ranks the blocks by contribution against the previous
+    boundary's block outputs (bootstrap: the last warm-up step's; with no
+    warm-up at all, the first boundary compares against itself and the
+    ranking falls back to index order). corgi_plus also picks per-block
+    salient sets at the first boundary (at every boundary with
+    refresh_saliency); their masks tell the engine to refresh those rows.
+    """
+
+    def __init__(self, rcfg: CorgiConfig, mc: ModelConfig):
+        self.rcfg = rcfg
+        self.mc = mc
+        self.roles = plan_steps(mc.total_steps, rcfg.warmup, rcfg.interval)
+        self.ranking = list(range(mc.num_blocks))
+        self.snapshot: list[Matrix] | None = None
+        self.contributions: list[dict] = []
+        self.salient: list[SalientTokenSet] | None = None
+        self.masks: list[np.ndarray] | None = None
+
+    def label(self, step: int) -> str:
+        return self.roles[step].label()
+
+    def directive(self, step: int) -> set[int]:
+        role = self.roles[step]
+        if role.kind != INTRA:
+            return set()
+        rcfg = self.rcfg
+        count = cached_count(role.offset, rcfg.gamma, rcfg.delta, self.mc.num_blocks)
+        return select_cached(self.ranking, count)
+
+    def observe(self, step: int, outputs: list[BlockOutputs]) -> None:
+        rcfg = self.rcfg
+        if self.roles[step].kind == BOUNDARY:
+            block_outs = [o.block_out for o in outputs]
+            reference = self.snapshot if self.snapshot is not None else block_outs
+            scores = contribution_scores(reference, block_outs)
+            self.ranking = rank_ascending(scores)
+            self.contributions.append({"step": step, "scores": [float(v) for v in scores]})
+            self.snapshot = block_outs
+            if rcfg.policy == PolicyKind.CORGI_PLUS and (
+                self.salient is None or rcfg.refresh_saliency
+            ):
+                mc = self.mc
+                self.salient = [
+                    replace(identify_salient(o.cross_map, rcfg.top_c), block=b)
+                    for b, o in enumerate(outputs)
+                ]
+                self.masks = [
+                    build_mask(ss, mc.text_tokens, mc.image_tokens) for ss in self.salient
+                ]
+        elif step == rcfg.warmup - 1:
+            self.snapshot = [o.block_out for o in outputs]  # bootstrap reference
+
+
+class BaselineSchedule:
+    """none, per_step_naive, parity and random: one rule at every step.
+
+    per_step_naive ranks the blocks by the contribution between the two
+    previous steps' block outputs (index order until two steps exist);
+    random draws from its own seeded stream.
+    """
+
+    def __init__(self, rcfg: CorgiConfig, mc: ModelConfig):
+        self.rcfg = rcfg
+        self.num_blocks = mc.num_blocks
+        self.rng = SeededRng(derive_seed(rcfg.seed, "policy-random"))
+        self.previous: tuple[list[Matrix] | None, list[Matrix] | None] = (None, None)
+        self.contributions: list[dict] = []
+        self.salient: list[SalientTokenSet] | None = None
+        self.masks: list[np.ndarray] | None = None
+
+    def label(self, step: int) -> str:
+        rcfg = self.rcfg
+        return WARMUP if step < rcfg.warmup and rcfg.policy != PolicyKind.NONE else "step"
+
+    def directive(self, step: int) -> set[int]:
+        rcfg = self.rcfg
+        if rcfg.policy == PolicyKind.NONE:
+            return set()
+        ranking = None
+        if rcfg.policy == PolicyKind.PER_STEP_NAIVE:
+            older, newer = self.previous
+            if older is None:
+                ranking = list(range(self.num_blocks))
+            else:
+                ranking = rank_ascending(contribution_scores(older, newer))
+        return baseline_directives(
+            rcfg.policy, step, rcfg.warmup, self.num_blocks,
+            ranking=ranking, parity=rcfg.parity, rng=self.rng,
+        )
+
+    def observe(self, step: int, outputs: list[BlockOutputs]) -> None:
+        self.previous = (self.previous[1], [o.block_out for o in outputs])
+
+
+def make_schedule(rcfg: CorgiConfig, mc: ModelConfig) -> IntervalSchedule | BaselineSchedule:
+    """The schedule object of a resolved config's policy.
+
+    A schedule answers ``directive(step)`` (blocks to serve from the cache),
+    ``label(step)`` (the step's role) and ``observe(step, outputs)`` (the
+    step's per-block outputs, after it ran), and carries ``contributions``
+    (per-boundary scores) plus ``salient``/``masks`` (per-block salient sets
+    and row masks, or None when cached blocks replay whole).
+    """
+    schedule = {
+        PolicyKind.NONE: BaselineSchedule,
+        PolicyKind.CORGI: IntervalSchedule,
+        PolicyKind.CORGI_PLUS: IntervalSchedule,
+        PolicyKind.PER_STEP_NAIVE: BaselineSchedule,
+        PolicyKind.PARITY: BaselineSchedule,
+        PolicyKind.RANDOM: BaselineSchedule,
+    }[rcfg.policy]
+    return schedule(rcfg, mc)

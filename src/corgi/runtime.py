@@ -1,4 +1,10 @@
-"""Cached execution engine for the toy DiT.
+"""Policy-agnostic cached execution engine for the toy DiT.
+
+:func:`run_with_policy` drives a schedule object from :mod:`corgi.policy`
+through the denoising loop. At each step it asks the schedule which blocks
+to serve from the cache, runs every block, and hands the step's block
+outputs back; all policy state lives in the schedule. The cache holds, per
+block, the :class:`BlockOutputs` of its last full computation at step t-hat.
 
 Cache semantics follow the additive block decomposition: a cached block
 reuses its stored ATTN and FFN outputs while the residual stream is
@@ -10,21 +16,20 @@ with the ablation variant that replays the entire stored block output,
 
     out = h_that + attn_cached + ffn_cached         (reuse-residual)
 
-where t-hat is the step the entry was cached at. The salient-token variant
-recomputes attention rows for the per-block salient set only and merges them
-into the cached ATTN output through a binary mask; the FFN term stays cached
-and the residual is always fresh.
+When the schedule carries salient masks (corgi_plus), a cached block instead
+recomputes attention rows for its salient set only and merges them into the
+cached ATTN output through a binary mask; the FFN term stays cached and the
+residual is always fresh.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .contribution import contribution_scores, rank_ascending
 from .cost import (
     MODE_CACHED,
     MODE_CACHED_PARTIAL,
@@ -44,20 +49,8 @@ from .model import (
     predict_noise,
     state_checksum,
 )
-from .numerics import SeededRng, derive_seed
-from .policy import (
-    BOUNDARY,
-    INTERVAL_POLICIES,
-    WARMUP,
-    CorgiConfig,
-    PolicyKind,
-    StepRole,
-    baseline_directives,
-    cached_count,
-    plan_steps,
-    select_cached,
-)
-from .saliency import SalientTokenSet, build_mask, identify_salient
+from .policy import CorgiConfig, make_schedule
+from .saliency import SalientTokenSet
 
 RESIDUAL_COMPUTE = "compute"
 RESIDUAL_REUSE = "reuse"
@@ -67,37 +60,8 @@ class CacheMiss(RuntimeError):
     pass
 
 
-@dataclass
-class CacheEntry:
-    """Outputs of one block frozen at step `step` (t-hat)."""
-
-    attn_out: Matrix
-    ffn_out: Matrix
-    block_out: Matrix
-    joint_attention: Matrix
-    cross_map: Matrix
-    step: int
-
-
-class BlockCache:
-    """Per-block cache entries; refreshed whenever a block is computed."""
-
-    def __init__(self, num_blocks: int):
-        self.entries: list[CacheEntry | None] = [None] * num_blocks
-
-    def refresh(self, block_index: int, outs: BlockOutputs, step: int) -> None:
-        self.entries[block_index] = CacheEntry(
-            attn_out=outs.attn_out,
-            ffn_out=outs.ffn_out,
-            block_out=outs.block_out,
-            joint_attention=outs.joint_attention,
-            cross_map=outs.cross_map,
-            step=step,
-        )
-
-
 def execute_block_cached(
-    h: Matrix, block: Block, entry: CacheEntry | None, strategy: str
+    h: Matrix, block: Block, entry: BlockOutputs | None, strategy: str
 ) -> BlockOutputs:
     """Run one cached block; attention maps are echoed stale from the entry."""
     if entry is None:
@@ -165,7 +129,7 @@ def masked_merge(new_rows: Matrix, cached: Matrix, mask: np.ndarray) -> Matrix:
 def execute_block_corgi_plus(
     h: Matrix,
     block: Block,
-    entry: CacheEntry | None,
+    entry: BlockOutputs | None,
     s: SalientTokenSet,
     mask: np.ndarray,
     text_tokens: int,
@@ -282,6 +246,28 @@ class Trace:
         return cls.from_dict(json.loads(text))
 
 
+def cost_report(trace: Trace) -> CostReport:
+    """Analytic cost of a trace, computed from its step records alone."""
+    model = trace.config["model"]
+    if len(trace.steps) != model["total_steps"]:
+        raise ValueError(
+            f"incomplete trace: {len(trace.steps)} of {model['total_steps']} steps"
+        )
+    salient_sizes = None
+    if trace.saliency is not None:
+        salient_sizes = {
+            entry["block"]: len(entry["text"]) + len(entry["image"])
+            for entry in trace.saliency
+        }
+    return build_cost_report(
+        [list(r.modes) for r in trace.steps],
+        model["text_tokens"] + model["image_tokens"],
+        model["hidden_dim"],
+        model["ffn_dim"],
+        salient_sizes,
+    )
+
+
 def config_echo(model: Model, rcfg: CorgiConfig) -> dict:
     mc = model.config
     return {
@@ -297,17 +283,8 @@ def config_echo(model: Model, rcfg: CorgiConfig) -> dict:
         "beta_start": float(model.schedule.betas[0]),
         "beta_end": float(model.schedule.betas[-1]),
         "model_seed": model.seed,
+        **asdict(rcfg),
         "policy": rcfg.policy.value,
-        "warmup": rcfg.warmup,
-        "interval": rcfg.interval,
-        "gamma": rcfg.gamma,
-        "delta": rcfg.delta,
-        "top_c": rcfg.top_c,
-        "seed": rcfg.seed,
-        "residual": rcfg.residual,
-        "refresh_saliency": rcfg.refresh_saliency,
-        "parity": rcfg.parity,
-        "salient_writeback": rcfg.salient_writeback,
     }
 
 
@@ -319,15 +296,14 @@ def run_with_policy(
 ) -> Trace:
     """Execute T denoising steps under a caching policy and emit a Trace.
 
-    Warm-up and boundary steps compute every block and refresh every cache
-    entry. At each boundary, contributions compare the step's block outputs
-    with the previous boundary's (bootstrap: the last warm-up step's outputs;
-    with no warm-up at all, the first boundary compares against itself and the
-    ranking falls back to index order). Intra steps cache the
-    min(gamma + (j-1)*delta, B) lowest-contribution blocks. Baselines cache a
-    fixed-rule set at every post-warm-up step; a directive that lands on a
-    never-filled cache (only possible at step 0 with warmup=0) falls back to
-    full computation.
+    The policy's schedule (:func:`corgi.policy.make_schedule`) names the
+    blocks to serve from the cache at each step and observes the step's
+    block outputs afterwards. Every other block is computed in full and
+    refreshes its cache entry. A directive that lands on a never-filled
+    entry (only possible at step 0 with warmup=0) falls back to full
+    computation. Cached blocks run through :func:`execute_block_corgi_plus`
+    when the schedule carries salient masks, else through
+    :func:`execute_block_cached` with the configured residual strategy.
     """
     mc = model.config
     rcfg = config.resolved(mc.total_steps, mc.num_blocks, mc.text_tokens)
@@ -339,78 +315,37 @@ def run_with_policy(
             f"x_init shape {x.shape} != ({mc.image_tokens}, {mc.hidden_dim})"
         )
 
-    policy = rcfg.policy
-    num_blocks, total_steps = mc.num_blocks, mc.total_steps
-    interval_mode = policy in INTERVAL_POLICIES
-    if interval_mode:
-        roles = plan_steps(total_steps, rcfg.warmup, rcfg.interval)
-    else:
-        roles = [
-            StepRole(WARMUP) if s < rcfg.warmup and policy != PolicyKind.NONE else StepRole("step")
-            for s in range(total_steps)
-        ]
-
-    cache = BlockCache(num_blocks)
-    ranking = list(range(num_blocks))
-    boundary_snapshot: list[Matrix] | None = None
-    prev1: list[Matrix] | None = None  # effective block outputs at s-1 (naive)
-    prev2: list[Matrix] | None = None
-    salient_sets: list[SalientTokenSet] | None = None
-    salient_masks: list[np.ndarray] | None = None
-    random_rng = SeededRng(derive_seed(rcfg.seed, "policy-random"))
-
+    schedule = make_schedule(rcfg, mc)
+    cache: list[BlockOutputs | None] = [None] * mc.num_blocks
     records: list[StepRecord] = []
-    contributions: list[dict] = []
 
-    for s in range(total_steps):
-        role = roles[s]
-        if policy == PolicyKind.NONE:
-            directive: set[int] = set()
-        elif interval_mode:
-            if role.kind in (WARMUP, BOUNDARY):
-                directive = set()
-            else:
-                directive = select_cached(
-                    ranking, cached_count(role.offset, rcfg.gamma, rcfg.delta, num_blocks)
-                )
-        elif policy == PolicyKind.PER_STEP_NAIVE:
-            if prev1 is not None and prev2 is not None:
-                step_ranking = rank_ascending(contribution_scores(prev2, prev1))
-            else:
-                step_ranking = list(range(num_blocks))
-            directive = baseline_directives(
-                policy, s, rcfg.warmup, num_blocks, ranking=step_ranking
-            )
-        else:
-            directive = baseline_directives(
-                policy, s, rcfg.warmup, num_blocks, parity=rcfg.parity, rng=random_rng
-            )
-
+    for s in range(mc.total_steps):
+        directive = schedule.directive(s)
+        salient, masks = schedule.salient, schedule.masks
         h = initial_hidden(model, x, s, text_embed)
         modes: list[str] = []
-        applied: set[int] = set()
+        applied: list[int] = []
         step_outputs: list[BlockOutputs] = []
         for b, block in enumerate(model.blocks):
-            entry = cache.entries[b]
+            entry = cache[b]
             if b in directive and entry is not None:
-                if policy == PolicyKind.CORGI_PLUS:
+                if masks is None:
+                    outs = execute_block_cached(h, block, entry, rcfg.residual)
+                    mode = MODE_CACHED
+                else:
                     outs = execute_block_corgi_plus(
                         h,
                         block,
                         entry,
-                        salient_sets[b],
-                        salient_masks[b],
+                        salient[b],
+                        masks[b],
                         mc.text_tokens,
                         writeback=rcfg.salient_writeback,
                     )
                     mode = MODE_CACHED_PARTIAL
-                else:
-                    outs = execute_block_cached(h, block, entry, rcfg.residual)
-                    mode = MODE_CACHED
-                applied.add(b)
+                applied.append(b)
             else:
-                outs = block_forward(block, h, mc.text_tokens)
-                cache.refresh(b, outs, s)
+                outs = cache[b] = block_forward(block, h, mc.text_tokens)
                 mode = MODE_FULL
             modes.append(mode)
             step_outputs.append(outs)
@@ -419,75 +354,34 @@ def run_with_policy(
         eps = predict_noise(model, h)
         if not np.isfinite(eps).all():
             raise FloatingPointError(f"non-finite noise prediction at step {s}")
-        x = denoise_step_mean(x, eps, total_steps - s, model.schedule)
+        x = denoise_step_mean(x, eps, mc.total_steps - s, model.schedule)
         records.append(
             StepRecord(
                 step=s,
-                role=role.label(),
-                cached=tuple(sorted(applied)),
+                role=schedule.label(s),
+                cached=tuple(applied),
                 modes=tuple(modes),
                 checksum=state_checksum(h),
                 noise_pred=eps,
             )
         )
+        schedule.observe(s, step_outputs)
 
-        block_outs = [o.block_out for o in step_outputs]
-        if interval_mode:
-            if role.kind == BOUNDARY:
-                reference = boundary_snapshot if boundary_snapshot is not None else block_outs
-                scores = contribution_scores(reference, block_outs)
-                ranking = rank_ascending(scores)
-                contributions.append(
-                    {"step": s, "scores": [float(v) for v in scores]}
-                )
-                boundary_snapshot = block_outs
-                if policy == PolicyKind.CORGI_PLUS and (
-                    salient_sets is None or rcfg.refresh_saliency
-                ):
-                    salient_sets = [
-                        replace(identify_salient(outs.cross_map, rcfg.top_c), block=b)
-                        for b, outs in enumerate(step_outputs)
-                    ]
-                    salient_masks = [
-                        build_mask(ss, mc.text_tokens, mc.image_tokens)
-                        for ss in salient_sets
-                    ]
-            elif rcfg.warmup > 0 and s == rcfg.warmup - 1:
-                boundary_snapshot = block_outs  # bootstrap reference
-        if policy == PolicyKind.PER_STEP_NAIVE:
-            prev2, prev1 = prev1, block_outs
-
-    salient_sizes = None
     saliency_echo = None
-    if salient_sets is not None:
-        salient_sizes = {
-            b: len(ss.text_indices) + len(ss.image_indices)
-            for b, ss in enumerate(salient_sets)
-        }
+    if schedule.salient is not None:
         saliency_echo = [
-            {
-                "block": b,
-                "text": list(ss.text_indices),
-                "image": list(ss.image_indices),
-            }
-            for b, ss in enumerate(salient_sets)
+            {"block": b, "text": list(ss.text_indices), "image": list(ss.image_indices)}
+            for b, ss in enumerate(schedule.salient)
         ]
-
-    cost = build_cost_report(
-        [list(r.modes) for r in records],
-        mc.seq_len,
-        mc.hidden_dim,
-        mc.ffn_dim,
-        mc.num_heads,
-        salient_sizes,
-    )
-    return Trace(
+    trace = Trace(
         config=config_echo(model, rcfg),
         steps=records,
-        contributions=contributions,
+        contributions=schedule.contributions,
         saliency=saliency_echo,
         final_output=x,
-        cost=cost,
+        cost=None,
         equivalent_to_reference=all(len(r.cached) == 0 for r in records),
         created_at=datetime.now(timezone.utc).isoformat(),
     )
+    trace.cost = cost_report(trace)
+    return trace

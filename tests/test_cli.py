@@ -90,6 +90,16 @@ def test_runtime_failure_returns_one_with_json_error(capsys):
     assert "gamma" in json.loads(err)["error"]
 
 
+def test_non_finite_noise_returns_one_with_json_error(monkeypatch, capsys):
+    monkeypatch.setattr(
+        "corgi.runtime.predict_noise", lambda model, h: np.full((5, 16), np.inf)
+    )
+    rc = main(["run", *SMALL, "--policy", "none"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "non-finite noise prediction" in json.loads(err)["error"]
+
+
 def test_compare_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["compare", *SMALL, "--policies", "none,corgi,corgi_plus",

@@ -213,8 +213,7 @@ def test_run_reference_bookkeeping():
     model, x = toy_setup(4, num_blocks=4, total_steps=6, hidden_dim=16, ffn_dim=24, num_heads=2)
     traj = run_reference(model, x)
     assert len(traj.noise_preds) == 6
-    assert len(traj.block_outputs) == 6
-    assert all(len(row) == 4 for row in traj.block_outputs)
+    assert len(traj.latents) == 6
 
     single, x1 = toy_setup(4, num_blocks=3, total_steps=1, hidden_dim=16, ffn_dim=24, num_heads=2)
     t1 = run_reference(single, x1)

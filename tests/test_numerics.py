@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from corgi import SeededRng, frobenius_norm, rng_standard_normal, softmax_rows
+from corgi import SeededRng, frobenius_norm, softmax_rows
 from corgi.numerics import matmul, matmul_nt, normal_stream
 
 
 def test_same_seed_same_stream():
-    a = rng_standard_normal(SeededRng(3), 5, 7)
-    b = rng_standard_normal(SeededRng(3), 5, 7)
+    a = SeededRng(3).standard_normal(5, 7)
+    b = SeededRng(3).standard_normal(5, 7)
     assert np.array_equal(a, b)
 
 
 def test_distinct_seeds_differ():
-    a = rng_standard_normal(SeededRng(1), 4, 4)
-    b = rng_standard_normal(SeededRng(2), 4, 4)
+    a = SeededRng(1).standard_normal(4, 4)
+    b = SeededRng(2).standard_normal(4, 4)
     assert not np.array_equal(a, b)
 
 
@@ -34,16 +34,16 @@ def test_stream_is_pure_function():
 
 
 def test_law_of_large_numbers():
-    draws = rng_standard_normal(SeededRng(7), 100000, 1)
+    draws = SeededRng(7).standard_normal(100000, 1)
     assert abs(draws.mean()) < 0.02
     assert abs(draws.var() - 1.0) < 0.05
 
 
 def test_empty_shape_rejected():
     with pytest.raises(ValueError, match="empty shape"):
-        rng_standard_normal(SeededRng(0), 0, 3)
+        SeededRng(0).standard_normal(0, 3)
     with pytest.raises(ValueError, match="empty shape"):
-        rng_standard_normal(SeededRng(0), 3, 0)
+        SeededRng(0).standard_normal(3, 0)
 
 
 def test_softmax_symmetry():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from corgi import (
+    BlockOutputs,
     CacheMiss,
     CorgiConfig,
     PolicyKind,
@@ -16,22 +17,19 @@ from corgi import (
     run_reference,
     run_with_policy,
 )
-from corgi.runtime import CacheEntry
-
 from helpers import bit_identical_to_reference, toy_setup
 
 
-def _entry(attn, ffn, h_cached, step=0):
+def _entry(attn, ffn, h_cached):
     attn = np.asarray(attn, dtype=np.float64)
     ffn = np.asarray(ffn, dtype=np.float64)
     h_cached = np.asarray(h_cached, dtype=np.float64)
-    return CacheEntry(
+    return BlockOutputs(
         attn_out=attn,
         ffn_out=ffn,
         block_out=(h_cached + attn) + ffn,
         joint_attention=np.ones((attn.shape[0], attn.shape[0])) / attn.shape[0],
         cross_map=np.zeros((0, attn.shape[0])),
-        step=step,
     )
 
 
