@@ -8,8 +8,12 @@ Subcommands:
     ablate   block-ablation cosine maps and the adjacent-step similarity series
 
 Flags mirror JSON config-file keys (underscored); explicit flags override the
-file, the file overrides built-in defaults. Exit codes: 0 ok, 1 runtime
-failure, 2 usage error. Setting COLOR=0 disables ANSI output.
+file, the file overrides built-in defaults. Model keys map onto ModelConfig
+fields through MODEL_KEYS, policy keys are CorgiConfig's field names, and
+both take their defaults and types from those dataclasses; `policies` and
+`out` are the only CLI-only keys. A config-file value of the wrong type is a
+usage error. Exit codes: 0 ok, 1 runtime failure, 2 usage error. Setting
+COLOR=0 disables ANSI output.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import argparse
 import json
 import os
 import sys
+import typing
+from dataclasses import asdict, fields
 
 from .analysis import analyze_model, divergence
 from .model import ModelConfig, build_model, run_reference
@@ -25,30 +31,47 @@ from .numerics import SeededRng, derive_seed
 from .policy import CorgiConfig, PolicyKind
 from .runtime import run_with_policy
 
+# CLI/config key -> ModelConfig field
+MODEL_KEYS = {
+    "steps": "total_steps",
+    "blocks": "num_blocks",
+    "dim": "hidden_dim",
+    "ffn_dim": "ffn_dim",
+    "heads": "num_heads",
+    "text_tokens": "text_tokens",
+    "image_tokens": "image_tokens",
+}
+
+_MODEL_DEFAULTS = asdict(ModelConfig())
 DEFAULTS = {
-    "steps": 12,
-    "blocks": 8,
-    "dim": 32,
-    "ffn_dim": 64,
-    "heads": 4,
-    "text_tokens": 4,
-    "image_tokens": 16,
-    "policy": "corgi",
-    "warmup": None,  # round(0.2 * steps)
-    "interval": 5,
-    "gamma": None,  # blocks // 2
-    "delta": 1,
-    "top_c": None,  # max(1, round(0.1 * text_tokens))
-    "residual": "compute",
-    "refresh_saliency": False,
-    "parity": "even",
-    "salient_writeback": False,
-    "seed": 0,
+    **{key: _MODEL_DEFAULTS[field] for key, field in MODEL_KEYS.items()},
+    **asdict(CorgiConfig()),
+    "policy": CorgiConfig.policy.value,
     "policies": "none,corgi,corgi_plus",
     "out": None,
 }
 
-BETA_START, BETA_END = 1e-4, 0.02
+_MODEL_HINTS = typing.get_type_hints(ModelConfig)
+# config key -> the types its value may take (a union's members)
+_KEY_TYPES = {
+    key: typing.get_args(hint) or (hint,)
+    for key, hint in {
+        **{key: _MODEL_HINTS[field] for key, field in MODEL_KEYS.items()},
+        **typing.get_type_hints(CorgiConfig),
+        "policy": str,
+        "policies": str,
+        "out": str | None,
+    }.items()
+}
+
+
+def _check_types(parser: argparse.ArgumentParser, loaded: dict) -> None:
+    """Usage error for a config-file value of the wrong type (a bool is no int)."""
+    for key, value in loaded.items():
+        types = _KEY_TYPES[key]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            parser.error(f"config key {key!r} takes {names}, got {value!r}")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -79,11 +102,6 @@ def _add_policy_flags(p: argparse.ArgumentParser, with_policy: bool = True) -> N
         help="recompute salient sets at every boundary",
     )
     p.add_argument("--parity", choices=["even", "odd"], help="parity-baseline choice")
-    p.add_argument(
-        "--salient-writeback",
-        action=argparse.BooleanOptionalAction,
-        help="write refreshed salient rows back into the cache",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,6 +143,7 @@ def merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> d
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
+        _check_types(parser, loaded)
         cfg.update(loaded)
     for key in DEFAULTS:
         value = getattr(args, key, None)
@@ -135,36 +154,18 @@ def merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> d
 
 def setup(cfg: dict):
     """Model, initial noise and policy config from a merged flag dict."""
-    mc = ModelConfig(
-        num_blocks=cfg["blocks"],
-        hidden_dim=cfg["dim"],
-        ffn_dim=cfg["ffn_dim"],
-        num_heads=cfg["heads"],
-        text_tokens=cfg["text_tokens"],
-        image_tokens=cfg["image_tokens"],
-        total_steps=cfg["steps"],
-    )
+    mc = ModelConfig(**{field: cfg[key] for key, field in MODEL_KEYS.items()})
     seed = cfg["seed"]
-    model = build_model(mc, derive_seed(seed, "model"), BETA_START, BETA_END)
+    model = build_model(mc, derive_seed(seed, "model"))
     noise_rng = SeededRng(derive_seed(seed, "init-noise"))
     x_init = noise_rng.standard_normal(mc.image_tokens, mc.hidden_dim)
     return model, x_init
 
 
 def policy_config(cfg: dict, policy: str | None = None) -> CorgiConfig:
-    return CorgiConfig(
-        policy=PolicyKind(policy if policy is not None else cfg["policy"]),
-        warmup=cfg["warmup"],
-        interval=cfg["interval"],
-        gamma=cfg["gamma"],
-        delta=cfg["delta"],
-        top_c=cfg["top_c"],
-        seed=cfg["seed"],
-        residual=cfg["residual"],
-        refresh_saliency=bool(cfg["refresh_saliency"]),
-        parity=cfg["parity"],
-        salient_writeback=bool(cfg["salient_writeback"]),
-    )
+    values = {f.name: cfg[f.name] for f in fields(CorgiConfig)}
+    values["policy"] = PolicyKind(policy if policy is not None else cfg["policy"])
+    return CorgiConfig(**values)
 
 
 def _emit(cfg: dict, text: str) -> None:
@@ -196,6 +197,8 @@ def cmd_run(parser: argparse.ArgumentParser, cfg: dict) -> int:
 
 def cmd_compare(parser: argparse.ArgumentParser, cfg: dict) -> int:
     policies = [p.strip() for p in cfg["policies"].split(",") if p.strip()]
+    if not policies:
+        parser.error("--policies names no policy")
     known = {k.value for k in PolicyKind}
     for p in policies:
         if p not in known:

@@ -66,7 +66,6 @@ class CorgiConfig:
     residual: str = "compute"  # "compute" | "reuse"
     refresh_saliency: bool = False
     parity: str = "even"  # "even" | "odd"
-    salient_writeback: bool = False
 
     def resolved(self, total_steps: int, num_blocks: int, text_tokens: int) -> "CorgiConfig":
         """Fill defaults and validate against the model dimensions."""
@@ -207,10 +206,7 @@ class IntervalSchedule:
                 self.salient is None or rcfg.refresh_saliency
             ):
                 mc = self.mc
-                self.salient = [
-                    replace(identify_salient(o.cross_map, rcfg.top_c), block=b)
-                    for b, o in enumerate(outputs)
-                ]
+                self.salient = [identify_salient(o.cross_map, rcfg.top_c) for o in outputs]
                 self.masks = [
                     build_mask(ss, mc.text_tokens, mc.image_tokens) for ss in self.salient
                 ]

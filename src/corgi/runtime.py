@@ -133,7 +133,6 @@ def execute_block_corgi_plus(
     s: SalientTokenSet,
     mask: np.ndarray,
     text_tokens: int,
-    writeback: bool = False,
 ) -> BlockOutputs:
     """Cached block with salient-row attention refresh.
 
@@ -145,8 +144,6 @@ def execute_block_corgi_plus(
     fresh = partial_attention(block, h, s, text_tokens)
     merged = masked_merge(fresh, entry.attn_out, mask)
     out = (h + merged) + entry.ffn_out
-    if writeback:
-        entry.attn_out = merged
     return BlockOutputs(
         attn_out=merged,
         ffn_out=entry.ffn_out,
@@ -271,15 +268,7 @@ def cost_report(trace: Trace) -> CostReport:
 def config_echo(model: Model, rcfg: CorgiConfig) -> dict:
     mc = model.config
     return {
-        "model": {
-            "num_blocks": mc.num_blocks,
-            "hidden_dim": mc.hidden_dim,
-            "ffn_dim": mc.ffn_dim,
-            "num_heads": mc.num_heads,
-            "text_tokens": mc.text_tokens,
-            "image_tokens": mc.image_tokens,
-            "total_steps": mc.total_steps,
-        },
+        "model": asdict(mc),
         "beta_start": float(model.schedule.betas[0]),
         "beta_end": float(model.schedule.betas[-1]),
         "model_seed": model.seed,
@@ -334,13 +323,7 @@ def run_with_policy(
                     mode = MODE_CACHED
                 else:
                     outs = execute_block_corgi_plus(
-                        h,
-                        block,
-                        entry,
-                        salient[b],
-                        masks[b],
-                        mc.text_tokens,
-                        writeback=rcfg.salient_writeback,
+                        h, block, entry, salient[b], masks[b], mc.text_tokens
                     )
                     mode = MODE_CACHED_PARTIAL
                 applied.append(b)

@@ -39,7 +39,6 @@ class SalientTokenSet:
 
     text_indices: tuple[int, ...]
     image_indices: tuple[int, ...]
-    block: int | None = None
 
 
 def saliency_scores(cross_map: Matrix) -> np.ndarray:

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from corgi.cli import main
+from corgi.cli import DEFAULTS, build_parser, main
 from corgi.runtime import Trace
 
 SMALL = ["--steps", "6", "--blocks", "4", "--dim", "16", "--ffn-dim", "16",
@@ -63,6 +64,45 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        # "false" is a non-empty string: a truthiness cast would turn refresh on
+        ("run", {"refresh_saliency": "false", "policy": "corgi_plus"}),
+        ("run", {"blocks": "8"}),
+        ("run", {"interval": 2.5}),
+        ("run", {"seed": "x"}),
+        ("run", {"gamma": True}),
+        ("compare", {"policies": 3}),
+    ],
+)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, loaded):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(loaded))
+    with pytest.raises(SystemExit) as exc:
+        main([command, *SMALL, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert repr(next(iter(loaded))) in capsys.readouterr().err
+
+
+def test_config_null_takes_the_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"warmup": None, "out": None, "policy": "none"}))
+    assert main(["run", *SMALL, "--config", str(cfg), "-o", str(tmp_path / "t.json")]) == 0
+
+
+def test_defaults_match_the_flags():
+    # a config key without a flag (or a flag without a default) fails here
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {
+        a.dest
+        for name in ("run", "compare")
+        for a in sub.choices[name]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    assert dests == set(DEFAULTS)
+
+
 def test_malformed_config_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -74,6 +114,12 @@ def test_malformed_config_is_usage_error(tmp_path):
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--warp-speed", "9"])
+    assert exc.value.code == 2
+
+
+def test_removed_salient_writeback_flag_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *SMALL, "--policy", "corgi_plus", "--salient-writeback"])
     assert exc.value.code == 2
 
 
@@ -120,6 +166,14 @@ def test_compare_rejects_unknown_policy():
     with pytest.raises(SystemExit) as exc:
         main(["compare", *SMALL, "--policies", "none,quantum"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("policies", ["", ","])
+def test_compare_rejects_empty_policy_list(capsys, policies):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", *SMALL, "--policies", policies])
+    assert exc.value.code == 2
+    assert "--policies names no policy" in capsys.readouterr().err
 
 
 def test_ablate_report(tmp_path):

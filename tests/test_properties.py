@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corgi import CorgiConfig, PolicyKind, run_reference, run_with_policy
+from corgi import CorgiConfig, PolicyKind, Trace, run_reference, run_with_policy
 
 from helpers import bit_identical_to_reference, toy_setup
 
@@ -58,3 +58,16 @@ def test_pruned_block_equals_model_without_it(setup, data):
     want = run_reference(removed, x)
     assert all(np.array_equal(p, q) for p, q in zip(pruned.noise_preds, want.noise_preds))
     assert np.array_equal(pruned.final_output, want.final_output)
+
+
+@PROPERTY_SETTINGS
+@given(tiny_setups())
+def test_traces_round_trip_and_repeat_byte_for_byte(setup):
+    model, x = setup
+    for policy in PolicyKind:
+        cfg = CorgiConfig(policy=policy)
+        t = run_with_policy(model, x, None, cfg)
+        assert Trace.from_json(t.to_json()) == t
+        again = run_with_policy(model, x, None, cfg)
+        t.created_at = again.created_at = ""
+        assert again.to_json() == t.to_json()
