@@ -325,6 +325,27 @@ def test_corgi_plus_records_saliency_and_partial_modes():
     assert "cached" not in intra_modes
 
 
+def test_salient_writeback_is_unobservable_with_static_sets(monkeypatch):
+    # the merged rows are recomputed fresh at every partial step, so writing
+    # them back into the cache entry only matters if the salient set changes
+    # between intervals; the engine no longer writes back, so the write is
+    # injected around its partial-refresh call
+    import corgi.runtime as runtime
+
+    def with_writeback(h, block, entry, s, mask, text_tokens):
+        outs = execute_block_corgi_plus(h, block, entry, s, mask, text_tokens)
+        entry.attn_out = outs.attn_out
+        return outs
+
+    model, x = toy_setup(11)
+    cfg = CorgiConfig(policy=PolicyKind.CORGI_PLUS, top_c=2)
+    a = run_with_policy(model, x, None, cfg)
+    monkeypatch.setattr(runtime, "execute_block_corgi_plus", with_writeback)
+    b = run_with_policy(model, x, None, cfg)
+    assert any("cached_partial" in r.modes for r in b.steps)
+    assert np.array_equal(a.final_output, b.final_output)
+
+
 def test_model_config_mismatch_rejected_before_step_zero():
     model, x = toy_setup(12)
     with pytest.raises(ValueError, match="gamma"):
