@@ -7,40 +7,32 @@ analytic FLOP cost model.
 """
 
 from .analysis import (
-    AnalysisReport,
-    DivergenceReport,
     adjacent_step_cka,
     analyze_model,
     block_ablation,
     divergence,
 )
 from .contribution import cka, contribution_scores, rank_ascending
-from .cost import CostReport, flops_block
+from .cost import flops_block
 from .model import (
     BlockOutputs,
-    Model,
     ModelConfig,
-    NoiseSchedule,
-    ReferenceTrajectory,
     block_forward,
     build_model,
     build_schedule,
     denoise_step_mean,
-    extract_cross_attention,
     run_reference,
 )
 from .numerics import SeededRng, derive_seed, frobenius_norm, softmax_rows
 from .policy import (
     CorgiConfig,
     PolicyKind,
-    StepRole,
     baseline_directives,
     cached_count,
     plan_steps,
     select_cached,
 )
 from .runtime import (
-    CacheMiss,
     Trace,
     cost_report,
     execute_block_cached,
@@ -50,7 +42,6 @@ from .runtime import (
     run_with_policy,
 )
 from .saliency import (
-    KMeansResult,
     SalientTokenSet,
     build_mask,
     identify_salient,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .contribution import cka
 from .model import Matrix, Model, ReferenceTrajectory, run_reference
-from .runtime import Trace, cost_report  # noqa: F401  (cost_report re-exported)
+from .runtime import Trace
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -11,9 +11,10 @@ Flags mirror JSON config-file keys (underscored); explicit flags override the
 file, the file overrides built-in defaults. Model keys map onto ModelConfig
 fields through MODEL_KEYS, policy keys are CorgiConfig's field names, and
 both take their defaults and types from those dataclasses; `policies` and
-`out` are the only CLI-only keys. A config-file value of the wrong type is a
-usage error. Exit codes: 0 ok, 1 runtime failure, 2 usage error. Setting
-COLOR=0 disables ANSI output.
+`out` are the only CLI-only keys. A config file may set only the keys its
+subcommand has flags for. A config-file value of the wrong type, or outside
+its flag's choices, is a usage error. Exit codes: 0 ok, 1 runtime failure,
+2 usage error. Setting COLOR=0 disables ANSI output.
 """
 
 from __future__ import annotations
@@ -65,13 +66,21 @@ _KEY_TYPES = {
 }
 
 
-def _check_types(parser: argparse.ArgumentParser, loaded: dict) -> None:
-    """Usage error for a config-file value of the wrong type (a bool is no int)."""
+def _check_values(parser: argparse.ArgumentParser, loaded: dict) -> None:
+    """Usage error for a config-file key the subcommand has no flag for, or a
+    value of the wrong type (a bool is no int) or outside the flag's choices."""
+    flags = {a.dest: a for a in parser._actions if a.dest in DEFAULTS}
+    unknown = set(loaded) - set(flags)
+    if unknown:
+        parser.error(f"unknown config keys: {sorted(unknown)}")
     for key, value in loaded.items():
         types = _KEY_TYPES[key]
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
             parser.error(f"config key {key!r} takes {names}, got {value!r}")
+        choices = flags[key].choices
+        if value is not None and choices is not None and value not in choices:
+            parser.error(f"config key {key!r} takes one of {list(choices)}, got {value!r}")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -114,23 +123,23 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute one policy run and emit its trace")
     _add_model_flags(run_p)
     _add_policy_flags(run_p)
-    run_p.set_defaults(func=cmd_run)
+    run_p.set_defaults(func=cmd_run, parser=run_p)
 
     cmp_p = sub.add_parser("compare", help="run several policies against the reference")
     _add_model_flags(cmp_p)
     _add_policy_flags(cmp_p, with_policy=False)
     cmp_p.add_argument("--policies", help="comma-separated policy list")
-    cmp_p.set_defaults(func=cmd_compare)
+    cmp_p.set_defaults(func=cmd_compare, parser=cmp_p)
 
     abl_p = sub.add_parser("ablate", help="block ablation and adjacent-step similarity")
     _add_model_flags(abl_p)
-    abl_p.set_defaults(func=cmd_ablate)
+    abl_p.set_defaults(func=cmd_ablate, parser=abl_p)
 
     return parser
 
 
 def merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags; parser is the subcommand's."""
     cfg = dict(DEFAULTS)
     if args.config:
         try:
@@ -140,10 +149,7 @@ def merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> d
             parser.error(f"cannot read config file: {e}")
         if not isinstance(loaded, dict):
             parser.error("config file must hold a JSON object")
-        unknown = set(loaded) - set(DEFAULTS)
-        if unknown:
-            parser.error(f"unknown config keys: {sorted(unknown)}")
-        _check_types(parser, loaded)
+        _check_values(parser, loaded)
         cfg.update(loaded)
     for key in DEFAULTS:
         value = getattr(args, key, None)
@@ -261,11 +267,10 @@ def cmd_ablate(parser: argparse.ArgumentParser, cfg: dict) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = merge_config(parser, args)
-        return args.func(parser, cfg)
+        cfg = merge_config(args.parser, args)
+        return args.func(args.parser, cfg)
     except (ValueError, OSError, FloatingPointError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 1

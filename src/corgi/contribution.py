@@ -4,8 +4,7 @@ The similarity is computed exactly as
 
     similarity(X, Y) = ||Y^T X||_F^2 / (||X^T X||_F * ||Y^T Y||_F)
 
-with no feature centering (an optional `centered` flag subtracts column means
-first; default off). A block's contribution is 1 - similarity between its
+with no feature centering. A block's contribution is 1 - similarity between its
 outputs at the boundary steps of consecutive intervals: values near 0 mean
 the representation barely moved, making the block a caching candidate.
 """
@@ -19,7 +18,7 @@ from .numerics import Matrix, ensure_matrix, frobenius_norm
 FeatureSnapshot = list[Matrix]  # block index -> L x d feature matrix
 
 
-def cka(x: Matrix, y: Matrix, centered: bool = False) -> float:
+def cka(x: Matrix, y: Matrix) -> float:
     """Similarity in [0, 1]; 1 for identical (up to scale) representations.
 
     Degenerate norms: both inputs zero -> 1.0 (nothing changed), exactly one
@@ -30,9 +29,6 @@ def cka(x: Matrix, y: Matrix, centered: bool = False) -> float:
     y = ensure_matrix(y, "y")
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    if centered:
-        x = x - x.mean(axis=0, keepdims=True)
-        y = y - y.mean(axis=0, keepdims=True)
     if np.array_equal(x, y):  # covers the both-zero degenerate case too
         return 1.0
     nx = frobenius_norm(x.T @ x)
@@ -45,15 +41,11 @@ def cka(x: Matrix, y: Matrix, centered: bool = False) -> float:
     return min(1.0, max(0.0, numerator / (nx * ny)))
 
 
-def contribution_scores(
-    prev: FeatureSnapshot, cur: FeatureSnapshot, centered: bool = False
-) -> np.ndarray:
+def contribution_scores(prev: FeatureSnapshot, cur: FeatureSnapshot) -> np.ndarray:
     """Per-block score 1 - similarity(cur_i, prev_i), clipped to [0, 1]."""
     if len(prev) != len(cur):
         raise ValueError(f"snapshot block counts differ: {len(prev)} vs {len(cur)}")
-    scores = np.array(
-        [1.0 - cka(c, p, centered=centered) for p, c in zip(prev, cur)]
-    )
+    scores = np.array([1.0 - cka(c, p) for p, c in zip(prev, cur)])
     return np.clip(scores, 0.0, 1.0)
 
 

@@ -2,7 +2,8 @@
 
 Counts are deterministic integers from the formulas below (L tokens, width d,
 FFN width d_ff, s = number of salient tokens); the formulas are the normative
-cost definition, wall-clock is out of scope.
+cost definition. Wall-clock time is measured by the benchmark in
+``perfbench/`` (see ``perfbench/README.md``), not here.
 
     full ATTN        4*L*d^2 + 2*L^2*d        (q/k/v/o projections + scores/apply)
     full FFN         2*L*d*d_ff
@@ -100,11 +101,12 @@ def build_cost_report(
     seq_len: int,
     dim: int,
     ffn_dim: int,
-    salient_sizes: dict[int, int] | None = None,
+    salient_sizes: dict[tuple[int, int], int] | None = None,
 ) -> CostReport:
     """Aggregate per-(step, block) modes into a CostReport.
 
-    salient_sizes maps block index -> |S_i| for cached_partial costing.
+    salient_sizes maps (step, block index) -> |S_i|, the size of the salient
+    set a cached_partial execution refreshed.
     """
     salient_sizes = salient_sizes or {}
     full_block = flops_block(seq_len, dim, ffn_dim, MODE_FULL)
@@ -116,7 +118,7 @@ def build_cost_report(
         counts = {MODE_FULL: 0, MODE_CACHED: 0, MODE_CACHED_PARTIAL: 0}
         for b, mode in enumerate(modes):
             step_flops += flops_block(
-                seq_len, dim, ffn_dim, mode, salient=salient_sizes.get(b, 0)
+                seq_len, dim, ffn_dim, mode, salient=salient_sizes.get((step, b), 0)
             )
             counts[mode] += 1
         computed += counts[MODE_FULL]

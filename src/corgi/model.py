@@ -23,7 +23,6 @@ from .numerics import (
     Matrix,
     SeededRng,
     derive_seed,
-    ensure_matrix,
     matmul,
     matmul_nt,
     softmax_rows,
@@ -109,14 +108,13 @@ class BlockOutputs:
     """Everything one block computation produces.
 
     block_out = input + attn_out + ffn_out holds exactly for full forwards;
-    joint_attention is the head-averaged (L x L) map, cross_map its
-    image-query x text-key submatrix.
+    cross_map is the image-query x text-key submatrix of the head-averaged
+    joint-attention map, the only part of that map any caller reads.
     """
 
     attn_out: Matrix
     ffn_out: Matrix
     block_out: Matrix
-    joint_attention: Matrix
     cross_map: Matrix
 
 
@@ -131,17 +129,13 @@ class Model:
     schedule: NoiseSchedule
 
 
-def build_model(
-    config: ModelConfig,
-    seed: int,
-    beta_start: float = 1e-4,
-    beta_end: float = 0.02,
-) -> Model:
+def build_model(config: ModelConfig, seed: int) -> Model:
     """Build a toy DiT with all weights drawn from seeded counter streams.
 
     Weight matrices are standard normal scaled by 1/sqrt(hidden_dim); prenorm
-    gains/biases sit at identity plus the same scale of noise. Bit-reproducible
-    for a fixed (config, seed).
+    gains/biases sit at identity plus the same scale of noise; the noise
+    schedule is :func:`build_schedule`'s default. Bit-reproducible for a fixed
+    (config, seed).
     """
     config.validate()
     d, d_ff, heads = config.hidden_dim, config.ffn_dim, config.num_heads
@@ -176,7 +170,7 @@ def build_model(
         text_embed=text_rng.standard_normal(config.text_tokens, d),
         step_bias=bias_rng.standard_normal(config.total_steps, d),
         eps_head=head_rng.standard_normal(d, d) * scale,
-        schedule=build_schedule(config.total_steps, beta_start, beta_end),
+        schedule=build_schedule(config.total_steps),
     )
 
 
@@ -231,17 +225,6 @@ def ffn_forward(block: Block, z: Matrix) -> Matrix:
     return matmul(_gelu(matmul(y, block.w1)), block.w2)
 
 
-def extract_cross_attention(joint_attention: Matrix, text_tokens: int, image_tokens: int) -> Matrix:
-    """Image-query x text-key submatrix of the head-averaged joint map."""
-    a = ensure_matrix(joint_attention, "joint_attention")
-    seq = text_tokens + image_tokens
-    if a.shape != (seq, seq):
-        raise ValueError(
-            f"joint_attention shape {a.shape} does not match {seq} tokens"
-        )
-    return a[text_tokens:, :text_tokens]
-
-
 def block_forward(block: Block, h: Matrix, text_tokens: int) -> BlockOutputs:
     """Full computation of one block on hidden state h ((L_text+L_img) x d)."""
     h = np.asarray(h, dtype=np.float64)
@@ -250,13 +233,12 @@ def block_forward(block: Block, h: Matrix, text_tokens: int) -> BlockOutputs:
     attn_out, joint = attention_rows(block, h)
     ffn_out = ffn_forward(block, h + attn_out)
     block_out = (h + attn_out) + ffn_out
-    cross = extract_cross_attention(joint, text_tokens, h.shape[0] - text_tokens)
     return BlockOutputs(
         attn_out=attn_out,
         ffn_out=ffn_out,
         block_out=block_out,
-        joint_attention=joint,
-        cross_map=cross,
+        # a copy, so that no cache entry keeps the L x L map alive as its base
+        cross_map=joint[text_tokens:, :text_tokens].copy(),
     )
 
 
@@ -297,7 +279,6 @@ def state_checksum(m: Matrix) -> str:
 class ReferenceTrajectory:
     """Full-compute run record: the oracle cached runs are measured against."""
 
-    config: ModelConfig
     noise_preds: list[Matrix] = field(default_factory=list)
     latents: list[Matrix] = field(default_factory=list)
 
@@ -329,7 +310,7 @@ def run_reference(
         if not 0 <= b < cfg.num_blocks:
             raise ValueError(f"pruned block {b} out of range")
 
-    traj = ReferenceTrajectory(config=cfg)
+    traj = ReferenceTrajectory()
     for step in range(cfg.total_steps):
         h = initial_hidden(model, x, step, text_embed)
         for b, block in enumerate(model.blocks):

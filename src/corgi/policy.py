@@ -169,7 +169,8 @@ class IntervalSchedule:
     warm-up at all, the first boundary compares against itself and the
     ranking falls back to index order). corgi_plus also picks per-block
     salient sets at the first boundary (at every boundary with
-    refresh_saliency); their masks tell the engine to refresh those rows.
+    refresh_saliency); their masks tell the engine to refresh those rows, and
+    each pick appends one ``saliency`` entry per block, tagged with its step.
     """
 
     def __init__(self, rcfg: CorgiConfig, mc: ModelConfig):
@@ -179,6 +180,7 @@ class IntervalSchedule:
         self.ranking = list(range(mc.num_blocks))
         self.snapshot: list[Matrix] | None = None
         self.contributions: list[dict] = []
+        self.saliency: list[dict] | None = None
         self.salient: list[SalientTokenSet] | None = None
         self.masks: list[np.ndarray] | None = None
 
@@ -210,6 +212,11 @@ class IntervalSchedule:
                 self.masks = [
                     build_mask(ss, mc.text_tokens, mc.image_tokens) for ss in self.salient
                 ]
+                self.saliency = (self.saliency or []) + [
+                    {"step": step, "block": b, "text": list(ss.text_indices),
+                     "image": list(ss.image_indices)}
+                    for b, ss in enumerate(self.salient)
+                ]
         elif step == rcfg.warmup - 1:
             self.snapshot = [o.block_out for o in outputs]  # bootstrap reference
 
@@ -228,6 +235,7 @@ class BaselineSchedule:
         self.rng = SeededRng(derive_seed(rcfg.seed, "policy-random"))
         self.previous: tuple[list[Matrix] | None, list[Matrix] | None] = (None, None)
         self.contributions: list[dict] = []
+        self.saliency: list[dict] | None = None
         self.salient: list[SalientTokenSet] | None = None
         self.masks: list[np.ndarray] | None = None
 
@@ -261,8 +269,10 @@ def make_schedule(rcfg: CorgiConfig, mc: ModelConfig) -> IntervalSchedule | Base
     A schedule answers ``directive(step)`` (blocks to serve from the cache),
     ``label(step)`` (the step's role) and ``observe(step, outputs)`` (the
     step's per-block outputs, after it ran), and carries ``contributions``
-    (per-boundary scores) plus ``salient``/``masks`` (per-block salient sets
-    and row masks, or None when cached blocks replay whole).
+    (per-boundary scores), ``saliency`` (one entry per block and salient-set
+    pick, or None when no set was picked) plus ``salient``/``masks`` (the
+    per-block salient sets and row masks in force, or None when cached blocks
+    replay whole).
     """
     schedule = {
         PolicyKind.NONE: BaselineSchedule,

@@ -56,16 +56,10 @@ RESIDUAL_COMPUTE = "compute"
 RESIDUAL_REUSE = "reuse"
 
 
-class CacheMiss(RuntimeError):
-    pass
-
-
 def execute_block_cached(
-    h: Matrix, block: Block, entry: BlockOutputs | None, strategy: str
+    h: Matrix, block: Block, entry: BlockOutputs, strategy: str
 ) -> BlockOutputs:
-    """Run one cached block; attention maps are echoed stale from the entry."""
-    if entry is None:
-        raise CacheMiss("cache miss on cached directive")
+    """Run one cached block; the cross map is echoed stale from the entry."""
     if h.shape != entry.block_out.shape:
         raise ValueError("hidden state shape does not match cache entry")
     if strategy == RESIDUAL_REUSE:
@@ -78,7 +72,6 @@ def execute_block_cached(
         attn_out=entry.attn_out,
         ffn_out=entry.ffn_out,
         block_out=out,
-        joint_attention=entry.joint_attention,
         cross_map=entry.cross_map,
     )
 
@@ -106,8 +99,8 @@ def partial_attention(block: Block, h: Matrix, s: SalientTokenSet, text_tokens: 
 def masked_merge(new_rows: Matrix, cached: Matrix, mask: np.ndarray) -> Matrix:
     """Row-wise merge: mask 1 takes the fresh row, mask 0 keeps the cache.
 
-    new_rows may carry all rows or exactly the popcount(mask) masked ones (in
-    ascending row order).
+    new_rows carries exactly the popcount(mask) masked rows, in ascending row
+    order.
     """
     cached = np.asarray(cached, dtype=np.float64)
     mask = np.asarray(mask)
@@ -115,12 +108,8 @@ def masked_merge(new_rows: Matrix, cached: Matrix, mask: np.ndarray) -> Matrix:
         raise ValueError("mask length does not match cached rows")
     rows = np.flatnonzero(mask)
     new_rows = np.asarray(new_rows, dtype=np.float64)
-    if new_rows.shape[0] == cached.shape[0]:
-        new_rows = new_rows[rows]
-    elif new_rows.shape[0] != rows.size:
-        raise ValueError(
-            f"expected {rows.size} or {cached.shape[0]} update rows, got {new_rows.shape[0]}"
-        )
+    if new_rows.shape[0] != rows.size:
+        raise ValueError(f"expected {rows.size} update rows, got {new_rows.shape[0]}")
     out = cached.copy()
     out[rows] = new_rows
     return out
@@ -129,7 +118,7 @@ def masked_merge(new_rows: Matrix, cached: Matrix, mask: np.ndarray) -> Matrix:
 def execute_block_corgi_plus(
     h: Matrix,
     block: Block,
-    entry: BlockOutputs | None,
+    entry: BlockOutputs,
     s: SalientTokenSet,
     mask: np.ndarray,
     text_tokens: int,
@@ -139,8 +128,6 @@ def execute_block_corgi_plus(
     attn term = masked merge of fresh salient rows into the cached ATTN
     output; FFN stays cached; the residual stream is always recomputed.
     """
-    if entry is None:
-        raise CacheMiss("cache miss on cached directive")
     fresh = partial_attention(block, h, s, text_tokens)
     merged = masked_merge(fresh, entry.attn_out, mask)
     out = (h + merged) + entry.ffn_out
@@ -148,7 +135,6 @@ def execute_block_corgi_plus(
         attn_out=merged,
         ffn_out=entry.ffn_out,
         block_out=out,
-        joint_attention=entry.joint_attention,
         cross_map=entry.cross_map,
     )
 
@@ -244,18 +230,20 @@ class Trace:
 
 
 def cost_report(trace: Trace) -> CostReport:
-    """Analytic cost of a trace, computed from its step records alone."""
+    """Analytic cost of a trace, computed from its step records and its
+    salient-set picks alone."""
     model = trace.config["model"]
     if len(trace.steps) != model["total_steps"]:
         raise ValueError(
             f"incomplete trace: {len(trace.steps)} of {model['total_steps']} steps"
         )
-    salient_sizes = None
-    if trace.saliency is not None:
-        salient_sizes = {
-            entry["block"]: len(entry["text"]) + len(entry["image"])
-            for entry in trace.saliency
-        }
+    # each pick holds from its step until the block's next pick (entries come
+    # in step order, so a later pick overwrites an earlier one)
+    salient_sizes = {}
+    for entry in trace.saliency or ():
+        size = len(entry["text"]) + len(entry["image"])
+        for step in range(entry["step"], len(trace.steps)):
+            salient_sizes[(step, entry["block"])] = size
     return build_cost_report(
         [list(r.modes) for r in trace.steps],
         model["text_tokens"] + model["image_tokens"],
@@ -350,17 +338,11 @@ def run_with_policy(
         )
         schedule.observe(s, step_outputs)
 
-    saliency_echo = None
-    if schedule.salient is not None:
-        saliency_echo = [
-            {"block": b, "text": list(ss.text_indices), "image": list(ss.image_indices)}
-            for b, ss in enumerate(schedule.salient)
-        ]
     trace = Trace(
         config=config_echo(model, rcfg),
         steps=records,
         contributions=schedule.contributions,
-        saliency=saliency_echo,
+        saliency=schedule.saliency,
         final_output=x,
         cost=None,
         equivalent_to_reference=all(len(r.cached) == 0 for r in records),

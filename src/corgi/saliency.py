@@ -20,16 +20,13 @@ from .numerics import Matrix, ensure_matrix
 class KMeansResult:
     """Exact 2-means partition of a 1-D value set.
 
-    split is the low-cluster size in sorted order; the high cluster is the
-    side with the larger centroid (upper side on ties). low_centroid is None
-    when the input has a single value.
+    The high cluster is the side with the larger centroid (upper side on
+    ties). low_centroid is None when the input has a single value.
     """
 
-    split: int
     low_centroid: float | None
     high_centroid: float
     high_indices: tuple[int, ...]
-    sse: float
 
 
 @dataclass(frozen=True)
@@ -68,11 +65,9 @@ def kmeans_1d_two(values) -> KMeansResult:
         raise ValueError("need at least one value")
     if values.size == 1:
         return KMeansResult(
-            split=0,
             low_centroid=None,
             high_centroid=float(values[0]),
             high_indices=(0,),
-            sse=0.0,
         )
     order = np.argsort(values, kind="stable")
     sv = values[order]
@@ -95,22 +90,18 @@ def kmeans_1d_two(values) -> KMeansResult:
 
     low, high = sv[:best_k], sv[best_k:]
     return KMeansResult(
-        split=best_k,
         low_centroid=float(low.mean()),
         high_centroid=float(high.mean()),
         high_indices=tuple(sorted(int(i) for i in order[best_k:])),
-        sse=split_sse(best_k),
     )
 
 
-def identify_salient(cross_map: Matrix, c: int, k: int = 2) -> SalientTokenSet:
+def identify_salient(cross_map: Matrix, c: int) -> SalientTokenSet:
     """Compose scoring, top-c selection and per-column clustering.
 
     Selected text tokens contribute the high cluster of their attention
     column; the image set is the union over selected columns.
     """
-    if k != 2:
-        raise ValueError("only k=2 clustering is supported")
     a = ensure_matrix(cross_map, "cross_map")
     text = top_c_text(saliency_scores(a), c)
     image: set[int] = set()

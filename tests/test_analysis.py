@@ -79,7 +79,7 @@ def test_ablation_index_out_of_range():
 
 
 def test_adjacent_cka_constant_preds():
-    traj = ReferenceTrajectory(config=None)
+    traj = ReferenceTrajectory()
     traj.noise_preds = [np.ones((3, 2))] * 4
     assert adjacent_step_cka(traj) == [1.0, 1.0, 1.0]
 
@@ -92,7 +92,7 @@ def test_adjacent_cka_range_and_length():
 
 
 def test_adjacent_cka_needs_two_steps():
-    traj = ReferenceTrajectory(config=None)
+    traj = ReferenceTrajectory()
     traj.noise_preds = [np.ones((2, 2))]
     with pytest.raises(ValueError, match="at least 2"):
         adjacent_step_cka(traj)

@@ -74,6 +74,10 @@ def test_unknown_config_key_is_usage_error(tmp_path):
         ("run", {"seed": "x"}),
         ("run", {"gamma": True}),
         ("compare", {"policies": 3}),
+        # values outside the flag's choices
+        ("run", {"residual": "sideways"}),
+        ("run", {"policy": "telepathy"}),
+        ("run", {"parity": "prime"}),
     ],
 )
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, loaded):
@@ -83,6 +87,26 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, lo
         main([command, *SMALL, "--config", str(cfg)])
     assert exc.value.code == 2
     assert repr(next(iter(loaded))) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("ablate", {"interval": 3}),
+        ("ablate", {"policy": "parity"}),
+        ("compare", {"policy": "parity"}),
+        ("run", {"policies": "none"}),
+    ],
+)
+def test_config_key_without_a_flag_in_the_subcommand_is_usage_error(
+    tmp_path, capsys, command, loaded
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(loaded))
+    with pytest.raises(SystemExit) as exc:
+        main([command, *SMALL, "--config", str(cfg), "-o", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_config_null_takes_the_default(tmp_path):

@@ -67,6 +67,6 @@ def test_report_worked_schedule():
 
 def test_report_partial_uses_salient_sizes():
     modes = [[MODE_CACHED_PARTIAL, MODE_FULL]]
-    small = build_cost_report(modes, 10, 8, 16, salient_sizes={0: 1})
-    big = build_cost_report(modes, 10, 8, 16, salient_sizes={0: 9})
+    small = build_cost_report(modes, 10, 8, 16, salient_sizes={(0, 0): 1})
+    big = build_cost_report(modes, 10, 8, 16, salient_sizes={(0, 0): 9})
     assert small.flops_actual < big.flops_actual

@@ -8,10 +8,9 @@ from corgi import (
     build_schedule,
     block_forward,
     denoise_step_mean,
-    extract_cross_attention,
     run_reference,
 )
-from corgi.model import Block
+from corgi.model import Block, attention_rows
 
 from helpers import toy_setup
 
@@ -133,7 +132,7 @@ def test_block_forward_matches_hand_evaluation():
     assert outs.attn_out[0, 0] == pytest.approx(attn, rel=1e-12)
     assert outs.ffn_out[0, 0] == pytest.approx(ffn, rel=1e-12)
     assert outs.block_out[0, 0] == pytest.approx(h + attn + ffn, rel=1e-12)
-    assert np.array_equal(outs.joint_attention, [[1.0]])
+    assert np.array_equal(attention_rows(blk, np.array([[h]]))[1], [[1.0]])
 
 
 def test_block_decomposition_is_exact():
@@ -148,17 +147,11 @@ def test_joint_attention_rows_and_cross_map():
     cfg = model.config
     h = np.concatenate([model.text_embed, x], axis=0)
     outs = block_forward(model.blocks[0], h, cfg.text_tokens)
-    assert np.abs(outs.joint_attention.sum(axis=1) - 1.0).max() < 1e-9
-    sub = outs.joint_attention[cfg.text_tokens :, : cfg.text_tokens]
+    joint = attention_rows(model.blocks[0], h)[1]
+    assert np.abs(joint.sum(axis=1) - 1.0).max() < 1e-9
+    sub = joint[cfg.text_tokens :, : cfg.text_tokens]
     assert np.array_equal(outs.cross_map, sub)
     assert np.all(outs.cross_map.sum(axis=1) <= 1.0 + 1e-12)
-
-
-def test_extract_cross_attention_submatrix():
-    joint = np.array([[0.6, 0.4], [0.3, 0.7]])
-    assert extract_cross_attention(joint, 1, 1).tolist() == [[0.3]]
-    with pytest.raises(ValueError):
-        extract_cross_attention(joint, 2, 1)
 
 
 def test_uniform_heads_average_to_single_head():
@@ -167,8 +160,8 @@ def test_uniform_heads_average_to_single_head():
     blk = _toy_block(d=8, heads=4)
     blk.wq = np.zeros_like(blk.wq)
     blk.wk = np.zeros_like(blk.wk)
-    outs = block_forward(blk, SeededRng(9).standard_normal(5, 8), text_tokens=2)
-    assert np.allclose(outs.joint_attention, 1.0 / 5.0, atol=1e-15)
+    joint = attention_rows(blk, SeededRng(9).standard_normal(5, 8))[1]
+    assert np.allclose(joint, 1.0 / 5.0, atol=1e-15)
 
 
 def test_denoise_zero_eps():

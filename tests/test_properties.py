@@ -71,3 +71,20 @@ def test_traces_round_trip_and_repeat_byte_for_byte(setup):
         again = run_with_policy(model, x, None, cfg)
         t.created_at = again.created_at = ""
         assert again.to_json() == t.to_json()
+
+
+@PROPERTY_SETTINGS
+@given(tiny_setups(), st.integers(1, 3))
+def test_cost_never_increases_as_gamma_or_delta_grows(setup, interval):
+    model, x = setup
+    blocks = model.config.num_blocks
+
+    def flops(policy, **knobs):
+        cfg = CorgiConfig(policy=policy, interval=interval, **knobs)
+        return run_with_policy(model, x, None, cfg).cost.flops_actual
+
+    for policy in (PolicyKind.CORGI, PolicyKind.CORGI_PLUS):
+        by_gamma = [flops(policy, gamma=g) for g in range(blocks + 1)]
+        by_delta = [flops(policy, gamma=0, delta=d) for d in range(blocks + 1)]
+        for series in (by_gamma, by_delta):
+            assert all(b <= a for a, b in zip(series, series[1:])), series

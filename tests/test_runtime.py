@@ -3,7 +3,6 @@ import pytest
 
 from corgi import (
     BlockOutputs,
-    CacheMiss,
     CorgiConfig,
     PolicyKind,
     SalientTokenSet,
@@ -12,6 +11,7 @@ from corgi import (
     block_forward,
     execute_block_cached,
     execute_block_corgi_plus,
+    flops_block,
     masked_merge,
     partial_attention,
     run_reference,
@@ -28,7 +28,6 @@ def _entry(attn, ffn, h_cached):
         attn_out=attn,
         ffn_out=ffn,
         block_out=(h_cached + attn) + ffn,
-        joint_attention=np.ones((attn.shape[0], attn.shape[0])) / attn.shape[0],
         cross_map=np.zeros((0, attn.shape[0])),
     )
 
@@ -75,13 +74,6 @@ def test_cost_depends_only_on_directives_and_dims():
     a = run_with_policy(a_model, a_x, None, cfg)
     b = run_with_policy(b_model, b_x, None, cfg)
     assert a.cost.to_dict() == b.cost.to_dict()
-
-
-def test_cache_miss_raises():
-    model, x = toy_setup(0, num_blocks=1)
-    h = np.concatenate([model.text_embed, x], axis=0)
-    with pytest.raises(CacheMiss, match="cache miss on cached directive"):
-        execute_block_cached(h, model.blocks[0], None, "compute")
 
 
 def test_partial_attention_full_set_matches_full():
@@ -139,15 +131,17 @@ def test_masked_merge_semantics():
     assert out.tolist() == [[1.0, 1.0], [20.0, 20.0]]
     both = np.array([[1.0, 1.0], [2.0, 2.0]])
     assert masked_merge(both, cached, np.array([1, 1])).tolist() == both.tolist()
-    assert masked_merge(both, cached, np.array([0, 0])).tolist() == cached.tolist()
+    assert masked_merge(np.zeros((0, 2)), cached, np.array([0, 0])).tolist() == cached.tolist()
 
 
 def test_masked_merge_rejects_bad_mask():
     cached = np.zeros((3, 2))
     with pytest.raises(ValueError, match="mask length"):
         masked_merge(np.zeros((1, 2)), cached, np.array([1, 0]))
-    with pytest.raises(ValueError, match="update rows"):
+    with pytest.raises(ValueError, match="expected 1 update rows, got 2"):
         masked_merge(np.zeros((2, 2)), cached, np.array([1, 0, 0]))
+    with pytest.raises(ValueError, match="expected 1 update rows, got 3"):
+        masked_merge(np.zeros((3, 2)), cached, np.array([1, 0, 0]))  # all rows
 
 
 def test_corgi_plus_block_empty_set_equals_plain_cached():
@@ -323,6 +317,35 @@ def test_corgi_plus_records_saliency_and_partial_modes():
     intra_modes = {m for r in trace.steps if r.role.startswith("intra") for m in r.modes}
     assert "cached_partial" in intra_modes
     assert "cached" not in intra_modes
+
+
+def test_refreshed_saliency_is_charged_at_the_sizes_each_step_used(monkeypatch):
+    # a spy records the salient-set size of every partial refresh the engine
+    # executes; the trace's cost must charge exactly those sizes
+    import corgi.runtime as runtime
+
+    used = []
+
+    def spy(h, block, entry, s, mask, text_tokens):
+        used.append(len(s.text_indices) + len(s.image_indices))
+        return execute_block_corgi_plus(h, block, entry, s, mask, text_tokens)
+
+    monkeypatch.setattr(runtime, "execute_block_corgi_plus", spy)
+    model, x = toy_setup(0, total_steps=20)
+    cfg = CorgiConfig(policy=PolicyKind.CORGI_PLUS, interval=3, top_c=2, refresh_saliency=True)
+    trace = run_with_policy(model, x, None, cfg)
+    mc = model.config
+    sizes = iter(used)
+    want = sum(
+        flops_block(mc.seq_len, mc.hidden_dim, mc.ffn_dim, mode,
+                    salient=next(sizes) if mode == "cached_partial" else 0)
+        for r in trace.steps
+        for mode in r.modes
+    )
+    assert next(sizes, None) is None
+    assert trace.cost.flops_actual == want
+    boundaries = [r.step for r in trace.steps if r.role == "boundary"]
+    assert [e["step"] for e in trace.saliency] == [s for s in boundaries for _ in range(mc.num_blocks)]
 
 
 def test_salient_writeback_is_unobservable_with_static_sets(monkeypatch):

@@ -145,11 +145,6 @@ def test_identify_salient_permutation_consistent():
     assert sp.image_indices == s.image_indices
 
 
-def test_identify_salient_rejects_other_k():
-    with pytest.raises(ValueError):
-        identify_salient(np.full((2, 2), 0.5), c=1, k=3)
-
-
 def test_build_mask_placement():
     s = SalientTokenSet(text_indices=(0,), image_indices=(1,))
     assert build_mask(s, 2, 2).tolist() == [1, 0, 0, 1]
