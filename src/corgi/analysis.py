@@ -40,14 +40,6 @@ class DivergenceReport:
     final_mse: float
     final_cosine: float
 
-    def to_dict(self) -> dict:
-        return {
-            "per_step_mse": self.per_step_mse,
-            "per_step_cosine": self.per_step_cosine,
-            "final_mse": self.final_mse,
-            "final_cosine": self.final_cosine,
-        }
-
 
 def divergence(trace: Trace, reference: ReferenceTrajectory) -> DivergenceReport:
     """MSE and cosine of the predicted noise at every step, plus the final

@@ -29,7 +29,7 @@ from dataclasses import asdict, fields
 from .analysis import analyze_model, divergence
 from .model import ModelConfig, build_model, run_reference
 from .numerics import SeededRng, derive_seed
-from .policy import CorgiConfig, PolicyKind
+from .policy import PARITY_CHOICES, RESIDUAL_CHOICES, CorgiConfig, PolicyKind
 from .runtime import run_with_policy
 
 # CLI/config key -> ModelConfig field
@@ -104,13 +104,13 @@ def _add_policy_flags(p: argparse.ArgumentParser, with_policy: bool = True) -> N
     p.add_argument("--gamma", type=int, help="blocks cached at the first intra step")
     p.add_argument("--delta", type=int, help="extra cached blocks per intra step")
     p.add_argument("--top-c", type=int, help="salient text tokens per block")
-    p.add_argument("--residual", choices=["compute", "reuse"])
+    p.add_argument("--residual", choices=RESIDUAL_CHOICES)
     p.add_argument(
         "--refresh-saliency",
         action=argparse.BooleanOptionalAction,
         help="recompute salient sets at every boundary",
     )
-    p.add_argument("--parity", choices=["even", "odd"], help="parity-baseline choice")
+    p.add_argument("--parity", choices=PARITY_CHOICES, help="parity-baseline choice")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,21 +216,8 @@ def cmd_compare(parser: argparse.ArgumentParser, cfg: dict) -> int:
     for p in policies:  # sequential, report assembled in list order
         trace = run_with_policy(model, x_init, None, policy_config(cfg, p))
         div = divergence(trace, reference)
-        rows.append(
-            {
-                "policy": p,
-                "speedup": trace.cost.speedup,
-                "block_speedup": trace.cost.block_speedup,
-                "blocks_computed": trace.cost.blocks_computed,
-                "blocks_total": trace.cost.blocks_total,
-                "flops_actual": trace.cost.flops_actual,
-                "flops_full": trace.cost.flops_full,
-                "final_mse": div.final_mse,
-                "final_cosine": div.final_cosine,
-                "per_step_mse": div.per_step_mse,
-                "per_step_cosine": div.per_step_cosine,
-            }
-        )
+        cost = {k: v for k, v in asdict(trace.cost).items() if k != "per_step"}
+        rows.append({"policy": p, **cost, **asdict(div)})
 
     header = f"{'policy':<16} {'speedup':>8} {'blocks':>9} {'final_mse':>12} {'final_cos':>10}"
     lines = [header, "-" * len(header)]
@@ -244,15 +231,8 @@ def cmd_compare(parser: argparse.ArgumentParser, cfg: dict) -> int:
             f"{r['blocks_computed']}/{r['blocks_total']:>4} "
             f"{r['final_mse']:>12.4e} {r['final_cosine']:>10.6f}"
         )
-    report = {"schema": "corgi-compare/1", "runs": rows}
-    if cfg["out"]:
-        with open(cfg["out"], "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
-        print("\n".join(lines))
-    else:
-        print("\n".join(lines))
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    print("\n".join(lines))
+    _emit(cfg, json.dumps({"schema": "corgi-compare/1", "runs": rows}, indent=2) + "\n")
     return 0
 
 

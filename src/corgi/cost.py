@@ -8,9 +8,9 @@ cost definition. Wall-clock time is measured by the benchmark in
     full ATTN        4*L*d^2 + 2*L^2*d        (q/k/v/o projections + scores/apply)
     full FFN         2*L*d*d_ff
     cached block     L*d                      (residual additions only)
-    cached+partial   3*L*d^2 + 2*s*L*d + s*d^2 + L*d
-                     (fresh K/V + output projection, scores/apply and Q
-                      restricted to the s salient rows, residual additions)
+    cached+partial   2*L*d^2 + 2*s*d^2 + 2*s*L*d + L*d
+                     (K/V on all L rows; Q, output projection and scores/apply
+                      on the s salient rows; residual additions)
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ def flops_block(
         return seq_len * dim
     if mode == MODE_CACHED_PARTIAL:
         return (
-            3 * seq_len * dim * dim
+            2 * seq_len * dim * dim
+            + 2 * salient * dim * dim
             + 2 * salient * seq_len * dim
-            + salient * dim * dim
             + seq_len * dim
         )
     raise ValueError(f"unknown mode {mode!r}")
@@ -71,29 +71,6 @@ class CostReport:
     blocks_computed: int
     block_speedup: float
     per_step: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "flops_full": self.flops_full,
-            "flops_actual": self.flops_actual,
-            "speedup": self.speedup,
-            "blocks_total": self.blocks_total,
-            "blocks_computed": self.blocks_computed,
-            "block_speedup": self.block_speedup,
-            "per_step": self.per_step,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CostReport":
-        return cls(
-            flops_full=d["flops_full"],
-            flops_actual=d["flops_actual"],
-            speedup=d["speedup"],
-            blocks_total=d["blocks_total"],
-            blocks_computed=d["blocks_computed"],
-            block_speedup=d["block_speedup"],
-            per_step=d["per_step"],
-        )
 
 
 def build_cost_report(

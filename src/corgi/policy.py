@@ -27,6 +27,9 @@ WARMUP = "warmup"
 BOUNDARY = "boundary"
 INTRA = "intra"
 
+RESIDUAL_CHOICES = ("compute", "reuse")
+PARITY_CHOICES = ("even", "odd")
+
 
 class PolicyKind(str, Enum):
     NONE = "none"
@@ -63,9 +66,9 @@ class CorgiConfig:
     delta: int = 1
     top_c: int | None = None
     seed: int = 0
-    residual: str = "compute"  # "compute" | "reuse"
+    residual: str = "compute"  # one of RESIDUAL_CHOICES
     refresh_saliency: bool = False
-    parity: str = "even"  # "even" | "odd"
+    parity: str = "even"  # one of PARITY_CHOICES
 
     def resolved(self, total_steps: int, num_blocks: int, text_tokens: int) -> "CorgiConfig":
         """Fill defaults and validate against the model dimensions."""
@@ -86,10 +89,10 @@ class CorgiConfig:
             raise ValueError("delta must be >= 0")
         if cfg.top_c < 1:
             raise ValueError("top_c must be >= 1")
-        if cfg.residual not in ("compute", "reuse"):
-            raise ValueError(f"residual must be 'compute' or 'reuse', got {cfg.residual!r}")
-        if cfg.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {cfg.parity!r}")
+        if cfg.residual not in RESIDUAL_CHOICES:
+            raise ValueError(f"residual must be one of {RESIDUAL_CHOICES}, got {cfg.residual!r}")
+        if cfg.parity not in PARITY_CHOICES:
+            raise ValueError(f"parity must be one of {PARITY_CHOICES}, got {cfg.parity!r}")
         return cfg
 
 
@@ -142,11 +145,13 @@ def baseline_directives(
     cache.
     """
     kind = PolicyKind(kind)
+    if parity not in PARITY_CHOICES:
+        raise ValueError(f"parity must be one of {PARITY_CHOICES}, got {parity!r}")
     if kind == PolicyKind.NONE or step < warmup:
         return set()
     half = num_blocks // 2
     if kind == PolicyKind.PARITY:
-        rem = 0 if parity == "even" else 1
+        rem = PARITY_CHOICES.index(parity)
         return {b for b in range(num_blocks) if b % 2 == rem}
     if kind == PolicyKind.RANDOM:
         if rng is None:

@@ -49,11 +49,8 @@ from .model import (
     predict_noise,
     state_checksum,
 )
-from .policy import CorgiConfig, make_schedule
+from .policy import RESIDUAL_CHOICES, CorgiConfig, make_schedule
 from .saliency import SalientTokenSet
-
-RESIDUAL_COMPUTE = "compute"
-RESIDUAL_REUSE = "reuse"
 
 
 def execute_block_cached(
@@ -62,12 +59,9 @@ def execute_block_cached(
     """Run one cached block; the cross map is echoed stale from the entry."""
     if h.shape != entry.block_out.shape:
         raise ValueError("hidden state shape does not match cache entry")
-    if strategy == RESIDUAL_REUSE:
-        out = entry.block_out
-    elif strategy == RESIDUAL_COMPUTE:
-        out = (h + entry.attn_out) + entry.ffn_out
-    else:
-        raise ValueError(f"unknown residual strategy {strategy!r}")
+    if strategy not in RESIDUAL_CHOICES:
+        raise ValueError(f"residual must be one of {RESIDUAL_CHOICES}, got {strategy!r}")
+    out = entry.block_out if strategy == "reuse" else (h + entry.attn_out) + entry.ffn_out
     return BlockOutputs(
         attn_out=entry.attn_out,
         ffn_out=entry.ffn_out,
@@ -151,31 +145,28 @@ class StepRecord:
     noise_pred: Matrix
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "role": self.role,
-            "cached": list(self.cached),
-            "modes": list(self.modes),
-            "checksum": self.checksum,
-            "noise_pred": self.noise_pred.tolist(),
-        }
+        return {**vars(self), "noise_pred": self.noise_pred.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepRecord":
-        return cls(
-            step=d["step"],
-            role=d["role"],
-            cached=tuple(d["cached"]),
-            modes=tuple(d["modes"]),
-            checksum=d["checksum"],
-            noise_pred=np.array(d["noise_pred"], dtype=np.float64),
-        )
+        return cls(**{
+            **d,
+            "cached": tuple(d["cached"]),
+            "modes": tuple(d["modes"]),
+            "noise_pred": np.array(d["noise_pred"], dtype=np.float64),
+        })
 
 
 @dataclass
 class Trace:
-    """Serializable record of one policy run."""
+    """Serializable record of one policy run.
 
+    JSON keys follow the fields of Trace, StepRecord and CostReport in
+    declaration order; only arrays and nested records are converted.
+    """
+
+    schema: str
+    created_at: str
     config: dict
     steps: list[StepRecord]
     contributions: list[dict]
@@ -183,8 +174,6 @@ class Trace:
     final_output: Matrix
     cost: CostReport
     equivalent_to_reference: bool
-    schema: str = "corgi-trace/1"
-    created_at: str = ""
 
     @property
     def noise_preds(self) -> list[Matrix]:
@@ -192,30 +181,20 @@ class Trace:
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
-            "created_at": self.created_at,
-            "config": self.config,
+            **vars(self),
             "steps": [r.to_dict() for r in self.steps],
-            "contributions": self.contributions,
-            "saliency": self.saliency,
             "final_output": self.final_output.tolist(),
-            "cost": self.cost.to_dict(),
-            "equivalent_to_reference": self.equivalent_to_reference,
+            "cost": asdict(self.cost),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trace":
-        return cls(
-            config=d["config"],
-            steps=[StepRecord.from_dict(r) for r in d["steps"]],
-            contributions=d["contributions"],
-            saliency=d["saliency"],
-            final_output=np.array(d["final_output"], dtype=np.float64),
-            cost=CostReport.from_dict(d["cost"]),
-            equivalent_to_reference=d["equivalent_to_reference"],
-            schema=d["schema"],
-            created_at=d["created_at"],
-        )
+        return cls(**{
+            **d,
+            "steps": [StepRecord.from_dict(r) for r in d["steps"]],
+            "final_output": np.array(d["final_output"], dtype=np.float64),
+            "cost": CostReport(**d["cost"]),
+        })
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Trace) and self.to_dict() == other.to_dict()
@@ -339,6 +318,8 @@ def run_with_policy(
         schedule.observe(s, step_outputs)
 
     trace = Trace(
+        schema="corgi-trace/1",
+        created_at=datetime.now(timezone.utc).isoformat(),
         config=config_echo(model, rcfg),
         steps=records,
         contributions=schedule.contributions,
@@ -346,7 +327,6 @@ def run_with_policy(
         final_output=x,
         cost=None,
         equivalent_to_reference=all(len(r.cached) == 0 for r in records),
-        created_at=datetime.now(timezone.utc).isoformat(),
     )
     trace.cost = cost_report(trace)
     return trace

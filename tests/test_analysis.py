@@ -116,7 +116,7 @@ def test_cost_report_matches_trace_and_rejects_truncation():
         CorgiConfig(policy=PolicyKind.CORGI, warmup=2, interval=5, gamma=3, delta=1),
     )
     recomputed = cost_report(trace)
-    assert recomputed.to_dict() == trace.cost.to_dict()
+    assert recomputed == trace.cost
     assert recomputed.blocks_computed == 60
 
     none = run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.NONE))

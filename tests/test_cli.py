@@ -186,6 +186,20 @@ def test_compare_report(tmp_path, capsys):
     assert "corgi_plus" in table
 
 
+def test_compare_row_keys_follow_the_record_fields(capsys):
+    # without -o the table comes first, then the JSON report; a row is the
+    # policy, then CostReport's fields but per_step, then DivergenceReport's
+    assert main(["compare", *SMALL, "--policies", "parity", "--seed", "2"]) == 0
+    out = capsys.readouterr().out
+    table, brace, report = out.partition("\n{")
+    assert "parity" in table
+    (row,) = json.loads(brace + report)["runs"]
+    assert list(row) == [
+        "policy", "flops_full", "flops_actual", "speedup", "blocks_total", "blocks_computed",
+        "block_speedup", "per_step_mse", "per_step_cosine", "final_mse", "final_cosine",
+    ]
+
+
 def test_compare_rejects_unknown_policy():
     with pytest.raises(SystemExit) as exc:
         main(["compare", *SMALL, "--policies", "none,quantum"])

@@ -25,8 +25,9 @@ def test_cached_is_residual_additions_only():
 
 
 def test_cached_partial_formula():
+    # K/V on all L rows, Q and output projection on the s salient rows
     L, d, s = 10, 8, 3
-    want = 3 * L * d * d + 2 * s * L * d + s * d * d + L * d
+    want = 2 * L * d * d + 2 * s * d * d + 2 * s * L * d + L * d
     assert flops_block(L, d, 16, MODE_CACHED_PARTIAL, salient=s) == want
 
 

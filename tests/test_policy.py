@@ -75,6 +75,13 @@ def test_parity_directives():
     assert baseline_directives(PolicyKind.PARITY, 1, 2, 8) == set()  # warm-up
 
 
+@pytest.mark.parametrize("step", [1, 5])
+def test_parity_directives_reject_an_unknown_parity(step):
+    # any value but "even" used to mean odd, in warm-up or not
+    with pytest.raises(ValueError, match="parity"):
+        baseline_directives(PolicyKind.PARITY, step, 2, 8, parity="prime")
+
+
 def test_none_directives_empty():
     assert baseline_directives(PolicyKind.NONE, 9, 0, 8) == set()
 

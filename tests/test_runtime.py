@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from corgi import (
     PolicyKind,
     SalientTokenSet,
     SeededRng,
+    Trace,
     build_mask,
     block_forward,
     execute_block_cached,
@@ -73,7 +76,7 @@ def test_cost_depends_only_on_directives_and_dims():
     cfg = CorgiConfig(policy=PolicyKind.CORGI, warmup=2, interval=4, gamma=2, delta=2)
     a = run_with_policy(a_model, a_x, None, cfg)
     b = run_with_policy(b_model, b_x, None, cfg)
-    assert a.cost.to_dict() == b.cost.to_dict()
+    assert a.cost == b.cost
 
 
 def test_partial_attention_full_set_matches_full():
@@ -375,3 +378,59 @@ def test_model_config_mismatch_rejected_before_step_zero():
         run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.CORGI, gamma=99))
     with pytest.raises(ValueError, match="x_init"):
         run_with_policy(model, x[:3], None, CorgiConfig())
+
+
+def test_executed_macs_match_the_cost_model(monkeypatch):
+    # count the multiply-accumulates of every matmul the model module runs;
+    # a full block must execute exactly its "full" cost, a partial refresh its
+    # "cached_partial" cost minus the L*d residual additions (no matmul)
+    import corgi.model as model_module
+
+    macs = []
+    matmul, matmul_nt = model_module.matmul, model_module.matmul_nt
+
+    def counting_matmul(a, b):
+        macs.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b)
+
+    def counting_matmul_nt(a, b):
+        macs.append(a.shape[0] * a.shape[1] * b.shape[0])
+        return matmul_nt(a, b)
+
+    monkeypatch.setattr(model_module, "matmul", counting_matmul)
+    monkeypatch.setattr(model_module, "matmul_nt", counting_matmul_nt)
+    for heads in (1, 2, 4):
+        model, x = toy_setup(12, num_heads=heads, hidden_dim=16, ffn_dim=24)
+        mc = model.config
+        L, d = mc.seq_len, mc.hidden_dim
+        h = np.concatenate([model.text_embed, x], axis=0)
+        macs.clear()
+        entry = block_forward(model.blocks[0], h, mc.text_tokens)
+        assert sum(macs) == flops_block(L, d, mc.ffn_dim, "full")
+        for text, image in (((0,), (3,)), ((1, 2), (0, 5, 9)), (tuple(range(4)), tuple(range(16)))):
+            s = SalientTokenSet(text_indices=text, image_indices=image)
+            mask = build_mask(s, mc.text_tokens, mc.image_tokens)
+            macs.clear()
+            execute_block_corgi_plus(h * 0.9, model.blocks[0], entry, s, mask, mc.text_tokens)
+            want = flops_block(L, d, mc.ffn_dim, "cached_partial", salient=len(text) + len(image))
+            assert sum(macs) == want - L * d
+
+
+def test_trace_json_keys_follow_the_record_fields():
+    # the JSON layout is the dataclass field order; a reordered field would
+    # silently change the format
+    model, x = toy_setup(13)
+    trace = run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.CORGI_PLUS, top_c=2))
+    d = json.loads(trace.to_json())
+    assert list(d) == [
+        "schema", "created_at", "config", "steps", "contributions", "saliency",
+        "final_output", "cost", "equivalent_to_reference",
+    ]
+    assert list(d["steps"][0]) == ["step", "role", "cached", "modes", "checksum", "noise_pred"]
+    assert list(d["cost"]) == [
+        "flops_full", "flops_actual", "speedup", "blocks_total", "blocks_computed",
+        "block_speedup", "per_step",
+    ]
+    d["comment"] = "not a field"
+    with pytest.raises(TypeError, match="comment"):
+        Trace.from_json(json.dumps(d))
