@@ -6,17 +6,23 @@ imports ``corgi`` from SRC_DIR (the directory that holds the ``corgi``
 package) and runs 576 ``run_with_policy`` configurations through the CLI's
 own ``DEFAULTS``/``setup``/``policy_config``: 6 policies x warmup {default, 0}
 x residual x refresh_saliency x parity, at 3 model shapes x 2 seeds. Each run
-prints one line, its config and then the sha256 of ``Trace.to_json()`` with
-``created_at`` blanked. After the runs come the digests of ``run_reference``
-(plain, and with each single block pruned) and of ``analyze_model`` for every
-shape and seed.
+prints one line: its config, the sha256 of ``Trace.to_json()`` with
+``created_at`` blanked, and a decision digest. The decision digest covers the
+same JSON without the numbers a kernel change moves in their low-order bits
+(each step's ``noise_pred`` and ``checksum``, ``final_output``) and with each
+boundary's contribution scores replaced by their ascending ranking, which is
+all a policy reads from them. So it covers the config echo, every step's
+role, cached blocks and modes, the rankings, the salient sets and the cost.
+After the runs come the digests of ``run_reference`` (plain, and with each
+single block pruned) and of ``analyze_model`` for every shape and seed.
 
 Two checkouts give comparable output, so
 
     diff <(python scripts/trace_sweep.py OLD/src) <(python scripts/trace_sweep.py src)
 
-lists exactly the runs whose bytes changed. The sweep takes about 30 s on
-one core of a 2-vCPU x86 VM.
+lists exactly the runs whose bytes changed, and comparing only the last
+column of the ``run`` lines lists the runs whose cache decisions changed.
+The sweep takes about 30 s on one core of a 2-vCPU x86 VM.
 """
 
 from __future__ import annotations
@@ -46,6 +52,17 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _decision_digest(trace) -> str:
+    d = trace.to_dict()
+    del d["final_output"]
+    d["steps"] = [{k: v for k, v in r.items() if k not in ("noise_pred", "checksum")} for r in d["steps"]]
+    d["contributions"] = [
+        {**c, "scores": sorted(range(len(c["scores"])), key=c["scores"].__getitem__)}
+        for c in d["contributions"]
+    ]
+    return _sha(json.dumps(d).encode())
+
+
 def _trajectory_digest(traj) -> str:
     return _sha(b"".join(m.tobytes() for m in traj.noise_preds + traj.latents))
 
@@ -66,7 +83,8 @@ def main(argv: list[str]) -> int:
             trace = runtime.run_with_policy(m, x, None, cli.policy_config({**base, **knobs}, policy))
             trace.created_at = ""
             knob_text = " ".join(f"{k}={v}" for k, v in knobs.items())
-            print(f"run {label} policy={policy} {knob_text} {_sha(trace.to_json().encode())}")
+            digests = f"{_sha(trace.to_json().encode())} {_decision_digest(trace)}"
+            print(f"run {label} policy={policy} {knob_text} {digests}")
         print(f"reference {label} pruned=- {_trajectory_digest(model.run_reference(m, x))}")
         for b in range(m.config.num_blocks):
             traj = model.run_reference(m, x, pruned_blocks={b})

@@ -3,7 +3,7 @@
 A deterministic desk-scale testbed for contribution-guided block caching:
 a seeded toy DiT, similarity-based contribution scores, warm-up + interval
 cache scheduling with salient-token protection, ablation baselines, and an
-analytic FLOP cost model.
+analytic MAC cost model.
 """
 
 from .analysis import (

@@ -1,8 +1,12 @@
-"""Analytic FLOP cost model for full, cached and partially-updated blocks.
+"""Analytic MAC cost model for full, cached and partially-updated blocks.
 
 Counts are deterministic integers from the formulas below (L tokens, width d,
 FFN width d_ff, s = number of salient tokens); the formulas are the normative
-cost definition. Wall-clock time is measured by the benchmark in
+cost definition. The unit is one multiply-accumulate (MAC): a d x d
+projection of L rows costs L*d^2, half the conventional FLOP count; a
+residual addition counts one per element. Ratios such as ``speedup`` do not
+depend on the unit. The names ``flops_*`` stay as they are because they are
+trace JSON keys. Wall-clock time is measured by the benchmark in
 ``perfbench/`` (see ``perfbench/README.md``), not here.
 
     full ATTN        4*L*d^2 + 2*L^2*d        (q/k/v/o projections + scores/apply)
@@ -37,7 +41,7 @@ def flops_block(
     mode: str,
     salient: int = 0,
 ) -> int:
-    """FLOPs of one block execution in the given mode.
+    """MACs of one block execution in the given mode.
 
     The head count does not change the totals: head splits repartition the
     same products.
@@ -58,7 +62,7 @@ def flops_block(
 
 @dataclass
 class CostReport:
-    """FLOP totals plus the zero-cost-cached block-execution counts.
+    """MAC totals plus the zero-cost-cached block-execution counts.
 
     speedup = flops_full / flops_actual; block_speedup treats every cached
     or partially-updated block as free and is exact in its integer counts.

@@ -6,13 +6,24 @@ on these primitives, so two properties are non-negotiable here:
 * all arithmetic is 64-bit float, and
 * random streams are pure functions of (seed, counter).
 
-Matrix products that feed the attention path go through :func:`matmul` /
-:func:`matmul_nt` instead of ``@``. BLAS gemm picks different kernels (and
-different accumulation orders) depending on operand shape, so ``(A[rows] @ B)``
-is not bit-equal to ``(A @ B)[rows]`` in general. ``np.einsum`` with
-``optimize=False`` accumulates each output element in an order that depends
-only on the reduction length, which makes row-subset computations reproduce
-the full product bit-for-bit; the partial-attention engine relies on that.
+Every matrix product goes through :func:`matmul` / :func:`matmul_nt` instead
+of ``@``, because the partial-attention engine needs row stability:
+``matmul(A[rows], B)`` must be bit-equal to ``matmul(A, B)[rows]``. Plain
+``@`` does not give that. BLAS gemm picks its kernel, blocking and
+accumulation order from the operand shape, so the same row can come out with
+different low-order bits when the row count changes.
+
+Both functions run one fixed-tile gemm (:func:`_row_tiled`): the rows of
+``A`` are zero-padded to a multiple of ``_TILE`` and multiplied as a stack of
+``(_TILE, k)`` tiles against ``B``. Every tile is the same gemm shape with the
+same ``B``, so each row is computed the same way whatever the row count and
+wherever the row sits, and the padding rows (zeros) touch no real row. The
+restricted and the full product therefore agree bit for bit, at close to
+plain-gemm speed. This rests on the gemm computing every row of a tile in the
+same order whatever its position in the tile. OpenBLAS does, at one thread
+and at two; ``tests/test_properties.py`` checks the row property over random
+shapes and row subsets, and ``tests/test_cli.py`` checks that a trace does
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -112,14 +123,27 @@ def ensure_matrix(m, name: str = "matrix") -> Matrix:
     return a
 
 
+_TILE = 8
+
+
+def _row_tiled(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b as a stack of fixed (_TILE, k) @ (k, m) gemms (see module docstring)."""
+    n, k = a.shape
+    # always a fresh buffer: given a view of b's own memory, numpy would run
+    # a @ a.T through syrk, which computes the rows of an 8-row tile unlike gemm
+    tiles = np.zeros((n + -n % _TILE, k))
+    tiles[:n] = a
+    return np.matmul(tiles.reshape(-1, _TILE, k), b).reshape(-1, b.shape[1])[:n]
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b with a shape-stable accumulation order (see module docstring)."""
-    return np.einsum("ij,jk->ik", a, b, optimize=False)
+    """a @ b, row-stable (see module docstring)."""
+    return _row_tiled(a, b)
 
 
 def matmul_nt(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b.T, shape-stable; used for attention scores."""
-    return np.einsum("id,jd->ij", a, b, optimize=False)
+    """a @ b.T, row-stable; used for attention scores."""
+    return _row_tiled(a, b.T)
 
 
 def softmax_rows(m: Matrix) -> Matrix:

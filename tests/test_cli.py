@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corgi
 from corgi.cli import DEFAULTS, build_parser, main
 from corgi.runtime import Trace
 
@@ -232,3 +237,23 @@ def test_run_defaults_to_stdout(capsys):
     out = capsys.readouterr().out
     trace = Trace.from_json(out)
     assert trace.equivalent_to_reference
+
+
+def test_trace_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    # BLAS gemm sits on the output path; its thread count must not reach the
+    # bits. Each FFN tile (8 x 128 x 1024) is big enough that OpenBLAS splits
+    # it across two threads. Higher counts need more cores than CI has.
+    src = str(Path(corgi.__file__).resolve().parents[1])
+    traces = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run(
+            [sys.executable, "-m", "corgi.cli", "run", "--policy", "corgi_plus",
+             "--steps", "6", "--blocks", "4", "--dim", "128", "--ffn-dim", "1024",
+             "--image-tokens", "28", "-o", str(out)],
+            env=env, check=True,
+        )
+        traces.append(_strip_timestamp(out.read_text()))
+    assert traces[0] == traces[1]

@@ -3,10 +3,11 @@
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corgi import CorgiConfig, PolicyKind, Trace, run_reference, run_with_policy
+from corgi import CorgiConfig, PolicyKind, SeededRng, Trace, run_reference, run_with_policy
+from corgi.numerics import matmul, matmul_nt
 
 from helpers import bit_identical_to_reference, toy_setup
 
@@ -88,3 +89,35 @@ def test_cost_never_increases_as_gamma_or_delta_grows(setup, interval):
         by_delta = [flops(policy, gamma=0, delta=d) for d in range(blocks + 1)]
         for series in (by_gamma, by_delta):
             assert all(b <= a for a, b in zip(series, series[1:])), series
+
+
+@st.composite
+def row_subset_products(draw):
+    """Operands of a random shape plus a sorted subset of a's rows."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(9, 64)))
+    k, m = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    rng = SeededRng(draw(st.integers(min_value=0, max_value=2**64 - 1)))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return (
+        rng.standard_normal(n, k),
+        rng.standard_normal(k, m),
+        rng.standard_normal(m, k),
+        np.array(sorted(rows), dtype=np.intp),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(row_subset_products())
+@example((np.ones((1, 3)), np.ones((3, 2)), np.ones((2, 3)), np.array([0])))
+@example((
+    SeededRng(1).standard_normal(8, 33), np.ones((33, 2)), np.ones((2, 33)), np.array([0, 5]),
+))
+def test_row_subset_products_are_bit_equal_to_rows_of_the_full_product(operands):
+    # partial attention computes only the salient rows and merges them into
+    # rows of a full computation, so the kernels must not depend on n; a @ a.T
+    # is checked too, because numpy runs syrk, not gemm, on one matrix times
+    # its own transpose
+    a, b, c, rows = operands
+    assert np.array_equal(matmul(a[rows], b), matmul(a, b)[rows])
+    assert np.array_equal(matmul_nt(a[rows], c), matmul_nt(a, c)[rows])
+    assert np.array_equal(matmul_nt(a[rows], a), matmul_nt(a, a)[rows])
