@@ -7,12 +7,17 @@ package) and runs 576 ``run_with_policy`` configurations through the CLI's
 own ``DEFAULTS``/``setup``/``policy_config``: 6 policies x warmup {default, 0}
 x residual x refresh_saliency x parity, at 3 model shapes x 2 seeds. Each run
 prints one line: its config, the sha256 of ``Trace.to_json()`` with
-``created_at`` blanked, and a decision digest. The decision digest covers the
-same JSON without the numbers a kernel change moves in their low-order bits
-(each step's ``noise_pred`` and ``checksum``, ``final_output``) and with each
+``created_at`` blanked, a decision digest and an array digest. The decision
+digest covers the same JSON without the numbers a kernel change moves in
+their low-order bits (each step's ``noise_pred`` and ``checksum``,
+``final_output``) and without the format tag ``schema``, and with each
 boundary's contribution scores replaced by their ascending ranking, which is
 all a policy reads from them. So it covers the config echo, every step's
 role, cached blocks and modes, the rankings, the salient sets and the cost.
+The array digest is the sha256 of the raw float64 bytes of every step's
+``noise_pred`` and of ``final_output``; it does not depend on how a trace
+encodes its arrays, so it compares the numbers of two checkouts whose trace
+formats differ.
 After the runs come the digests of ``run_reference`` (plain, and with each
 single block pruned) and of ``analyze_model`` for every shape and seed.
 
@@ -20,8 +25,9 @@ Two checkouts give comparable output, so
 
     diff <(python scripts/trace_sweep.py OLD/src) <(python scripts/trace_sweep.py src)
 
-lists exactly the runs whose bytes changed, and comparing only the last
-column of the ``run`` lines lists the runs whose cache decisions changed.
+lists exactly the runs whose bytes changed; comparing only the decision
+column (the second-last) of the ``run`` lines lists the runs whose cache
+decisions changed, and the last column the runs whose arrays changed.
 The sweep takes about 30 s on one core of a 2-vCPU x86 VM.
 """
 
@@ -54,13 +60,17 @@ def _sha(data: bytes) -> str:
 
 def _decision_digest(trace) -> str:
     d = trace.to_dict()
-    del d["final_output"]
+    del d["schema"], d["final_output"]
     d["steps"] = [{k: v for k, v in r.items() if k not in ("noise_pred", "checksum")} for r in d["steps"]]
     d["contributions"] = [
         {**c, "scores": sorted(range(len(c["scores"])), key=c["scores"].__getitem__)}
         for c in d["contributions"]
     ]
     return _sha(json.dumps(d).encode())
+
+
+def _array_digest(trace) -> str:
+    return _sha(b"".join(a.tobytes() for a in trace.noise_preds + [trace.final_output]))
 
 
 def _trajectory_digest(traj) -> str:
@@ -83,7 +93,9 @@ def main(argv: list[str]) -> int:
             trace = runtime.run_with_policy(m, x, None, cli.policy_config({**base, **knobs}, policy))
             trace.created_at = ""
             knob_text = " ".join(f"{k}={v}" for k, v in knobs.items())
-            digests = f"{_sha(trace.to_json().encode())} {_decision_digest(trace)}"
+            digests = (
+                f"{_sha(trace.to_json().encode())} {_decision_digest(trace)} {_array_digest(trace)}"
+            )
             print(f"run {label} policy={policy} {knob_text} {digests}")
         print(f"reference {label} pruned=- {_trajectory_digest(model.run_reference(m, x))}")
         for b in range(m.config.num_blocks):

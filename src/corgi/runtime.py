@@ -24,7 +24,9 @@ residual is always fresh.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
@@ -133,6 +135,27 @@ def execute_block_corgi_plus(
     )
 
 
+TRACE_SCHEMA = "corgi-trace/2"
+
+
+def _encode_array(a: Matrix) -> dict:
+    """An array as its shape and the base64 of its little-endian float64
+    bytes: bit-exact, and far cheaper than decimal text."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "f64le": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_array(d: dict) -> Matrix:
+    """Inverse of :func:`_encode_array`: an owned, writable, C-contiguous
+    native float64 array."""
+    shape = tuple(d["shape"])
+    raw = base64.b64decode(d["f64le"], validate=True)
+    want = 8 * math.prod(shape)
+    if len(raw) != want:
+        raise ValueError(f"array of shape {list(shape)} needs {want} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 @dataclass
 class StepRecord:
     """One step of a policy run: directive, per-block modes, outputs."""
@@ -145,7 +168,7 @@ class StepRecord:
     noise_pred: Matrix
 
     def to_dict(self) -> dict:
-        return {**vars(self), "noise_pred": self.noise_pred.tolist()}
+        return {**vars(self), "noise_pred": _encode_array(self.noise_pred)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepRecord":
@@ -153,7 +176,7 @@ class StepRecord:
             **d,
             "cached": tuple(d["cached"]),
             "modes": tuple(d["modes"]),
-            "noise_pred": np.array(d["noise_pred"], dtype=np.float64),
+            "noise_pred": _decode_array(d["noise_pred"]),
         })
 
 
@@ -183,16 +206,20 @@ class Trace:
         return {
             **vars(self),
             "steps": [r.to_dict() for r in self.steps],
-            "final_output": self.final_output.tolist(),
+            "final_output": _encode_array(self.final_output),
             "cost": asdict(self.cost),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trace":
+        if d.get("schema") != TRACE_SCHEMA:
+            raise ValueError(
+                f"trace schema {d.get('schema')!r} is not supported; expected {TRACE_SCHEMA!r}"
+            )
         return cls(**{
             **d,
             "steps": [StepRecord.from_dict(r) for r in d["steps"]],
-            "final_output": np.array(d["final_output"], dtype=np.float64),
+            "final_output": _decode_array(d["final_output"]),
             "cost": CostReport(**d["cost"]),
         })
 
@@ -318,7 +345,7 @@ def run_with_policy(
         schedule.observe(s, step_outputs)
 
     trace = Trace(
-        schema="corgi-trace/1",
+        schema=TRACE_SCHEMA,
         created_at=datetime.now(timezone.utc).isoformat(),
         config=config_echo(model, rcfg),
         steps=records,

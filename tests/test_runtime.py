@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -427,6 +428,8 @@ def test_trace_json_keys_follow_the_record_fields():
         "final_output", "cost", "equivalent_to_reference",
     ]
     assert list(d["steps"][0]) == ["step", "role", "cached", "modes", "checksum", "noise_pred"]
+    assert list(d["steps"][0]["noise_pred"]) == ["shape", "f64le"]
+    assert list(d["final_output"]) == ["shape", "f64le"]
     assert list(d["cost"]) == [
         "flops_full", "flops_actual", "speedup", "blocks_total", "blocks_computed",
         "block_speedup", "per_step",
@@ -434,3 +437,58 @@ def test_trace_json_keys_follow_the_record_fields():
     d["comment"] = "not a field"
     with pytest.raises(TypeError, match="comment"):
         Trace.from_json(json.dumps(d))
+
+
+def _tiny_trace():
+    model, x = toy_setup(5, num_blocks=2, total_steps=3, hidden_dim=8, ffn_dim=8, num_heads=2)
+    return run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.CORGI))
+
+
+def test_trace_arrays_round_trip_bit_for_bit():
+    extremes = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1.7976931348623157e308]])
+    strided = np.arange(24, dtype=np.float64).reshape(4, 6) / 7.0
+    for final, step_pred in ((extremes, extremes.T), (strided.T, strided[::2, 1::3])):
+        assert not step_pred.flags.c_contiguous
+        trace = _tiny_trace()
+        trace.final_output, trace.steps[0].noise_pred = final, step_pred
+        back = Trace.from_json(trace.to_json())
+        assert back == trace
+        for got, want in ((back.final_output, final), (back.steps[0].noise_pred, step_pred)):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
+
+
+def test_trace_rejects_malformed_array_payloads():
+    d = json.loads(_tiny_trace().to_json())
+    payload = d["final_output"]
+    short = base64.b64encode(base64.b64decode(payload["f64le"])[:-8]).decode("ascii")
+    # a stray character that a lenient decoder would skip; a shape that
+    # reshape alone would accept
+    stray = payload["f64le"][:4] + "!" + payload["f64le"][4:]
+    for bad in ({**payload, "f64le": short}, {**payload, "f64le": stray},
+                {**payload, "shape": [payload["shape"][0] + 1, payload["shape"][1]]},
+                {**payload, "shape": [-1]}):
+        with pytest.raises(ValueError):
+            Trace.from_dict({**d, "final_output": bad})
+    step = {**d["steps"][0], "noise_pred": {**payload, "f64le": short}}
+    with pytest.raises(ValueError):
+        Trace.from_dict({**d, "steps": [step, *d["steps"][1:]]})
+
+
+def test_trace_rejects_other_schemas():
+    trace = _tiny_trace()
+    d = json.loads(trace.to_json())
+    # a corgi-trace/1 file stored arrays as nested float lists
+    old = {
+        **d,
+        "schema": "corgi-trace/1",
+        "steps": [{**r, "noise_pred": p.tolist()} for r, p in zip(d["steps"], trace.noise_preds)],
+        "final_output": trace.final_output.tolist(),
+    }
+    for schema, doc in (("corgi-trace/1", old), ("corgi-trace/3", {**d, "schema": "corgi-trace/3"})):
+        with pytest.raises(ValueError, match=f"'{schema}'.*'corgi-trace/2'"):
+            Trace.from_json(json.dumps(doc))
+    without = {k: v for k, v in d.items() if k != "schema"}
+    with pytest.raises(ValueError, match="None.*'corgi-trace/2'"):
+        Trace.from_dict(without)
