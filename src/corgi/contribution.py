@@ -29,7 +29,7 @@ def cka(x: Matrix, y: Matrix) -> float:
     y = ensure_matrix(y, "y")
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    if np.array_equal(x, y):  # covers the both-zero degenerate case too
+    if (x == y).all():  # equal values; covers the both-zero case too
         return 1.0
     nx = frobenius_norm(x.T @ x)
     ny = frobenius_norm(y.T @ y)
@@ -37,7 +37,8 @@ def cka(x: Matrix, y: Matrix) -> float:
         return 1.0
     if nx == 0.0 or ny == 0.0:
         return 0.0
-    numerator = float(np.sum(np.square(y.T @ x)))
+    g = y.T @ x
+    numerator = float(np.add.reduce(g * g, axis=None))
     return min(1.0, max(0.0, numerator / (nx * ny)))
 
 

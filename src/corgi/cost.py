@@ -1,13 +1,13 @@
 """Analytic MAC cost model for full, cached and partially-updated blocks.
 
-Counts are deterministic integers from the formulas below (L tokens, width d,
-FFN width d_ff, s = number of salient tokens); the formulas are the normative
-cost definition. The unit is one multiply-accumulate (MAC): a d x d
-projection of L rows costs L*d^2, half the conventional FLOP count; a
-residual addition counts one per element. Ratios such as ``speedup`` do not
-depend on the unit. The names ``flops_*`` stay as they are because they are
-trace JSON keys. Wall-clock time is measured by the benchmark in
-``perfbench/`` (see ``perfbench/README.md``), not here.
+Counts are deterministic integers from the formulas below (L tokens, L_img
+of them image tokens, width d, FFN width d_ff, s = number of salient tokens);
+the formulas are the normative cost definition. The unit is one
+multiply-accumulate (MAC): a d x d projection of L rows costs L*d^2, half the
+conventional FLOP count; a residual addition counts one per element. Ratios
+such as ``speedup`` do not depend on the unit. The names ``flops_*`` stay as
+they are because they are trace JSON keys. Wall-clock time is measured by
+the benchmark in ``perfbench/`` (see ``perfbench/README.md``), not here.
 
     full ATTN        4*L*d^2 + 2*L^2*d        (q/k/v/o projections + scores/apply)
     full FFN         2*L*d*d_ff
@@ -15,6 +15,12 @@ trace JSON keys. Wall-clock time is measured by the benchmark in
     cached+partial   2*L*d^2 + 2*s*d^2 + 2*s*L*d + L*d
                      (K/V on all L rows; Q, output projection and scores/apply
                       on the s salient rows; residual additions)
+    eps head         L_img*d^2 per step, whatever the block modes
+                     (the noise prediction projects the image rows)
+
+A run's total is the sum over steps of its blocks' costs plus the head term,
+so the matmul MACs a run executes equal ``flops_actual`` minus the L*d
+residual additions of each cached or cached_partial block.
 """
 
 from __future__ import annotations
@@ -82,20 +88,23 @@ def build_cost_report(
     seq_len: int,
     dim: int,
     ffn_dim: int,
+    image_tokens: int,
     salient_sizes: dict[tuple[int, int], int] | None = None,
 ) -> CostReport:
-    """Aggregate per-(step, block) modes into a CostReport.
+    """Aggregate per-(step, block) modes, plus each step's eps head, into a
+    CostReport.
 
     salient_sizes maps (step, block index) -> |S_i|, the size of the salient
     set a cached_partial execution refreshed.
     """
     salient_sizes = salient_sizes or {}
     full_block = flops_block(seq_len, dim, ffn_dim, MODE_FULL)
+    head = image_tokens * dim * dim
     per_step = []
     actual = 0
     computed = 0
     for step, modes in enumerate(step_modes):
-        step_flops = 0
+        step_flops = head
         counts = {MODE_FULL: 0, MODE_CACHED: 0, MODE_CACHED_PARTIAL: 0}
         for b, mode in enumerate(modes):
             step_flops += flops_block(
@@ -115,7 +124,7 @@ def build_cost_report(
         )
     num_blocks = len(step_modes[0]) if step_modes else 0
     total_blocks = len(step_modes) * num_blocks
-    flops_full = total_blocks * full_block
+    flops_full = total_blocks * full_block + len(step_modes) * head
     return CostReport(
         flops_full=flops_full,
         flops_actual=actual,

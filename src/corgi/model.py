@@ -10,11 +10,19 @@ decomposition
 pre-normalization living *inside* the ATTN/FFN terms so the three addends are
 exactly the quantities the caching engine stores and reuses. A full-compute
 run (:func:`run_reference`) is the oracle every cached run is compared to.
+
+The layernorm, GELU and residual sums are written as one ufunc or
+``np.add.reduce`` call per step, in the textbook formula's order, so they
+are bit-equal to the ``np.mean``/``np.var`` formulas at a fraction of the
+per-call cost (see :mod:`corgi.numerics`). They work in place only on arrays
+they allocated themselves: under ``residual=reuse`` the hidden state handed
+to a block is a cache entry's ``block_out``, which must not change.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +37,7 @@ from .numerics import (
 )
 
 _NORM_EPS = 1e-6
+_GELU_SCALE = np.sqrt(2.0 / np.pi)
 
 
 @dataclass(frozen=True)
@@ -175,15 +184,33 @@ def build_model(config: ModelConfig, seed: int) -> Model:
 
 
 def _layernorm(x: Matrix, gain: np.ndarray, bias: np.ndarray) -> Matrix:
-    mu = np.mean(x, axis=1, keepdims=True)
-    var = np.var(x, axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + _NORM_EPS) * gain + bias
+    # (x - mean) / sqrt(var + eps) * gain + bias, centring once: np.var
+    # would compute the same mean a second time
+    d = x.shape[1]
+    y = x - np.add.reduce(x, axis=1, keepdims=True) / d
+    scale = np.add.reduce(y * y, axis=1, keepdims=True) / d
+    scale += _NORM_EPS
+    np.sqrt(scale, out=scale)
+    y /= scale
+    y *= gain
+    y += bias
+    return y
 
 
 def _gelu(x: Matrix) -> Matrix:
     # tanh approximation; exact choice is irrelevant, determinism is not.
-    # The cube is x * x * x because np.power takes about 17x as long.
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+    # 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * (x * x * x)))), one
+    # operation at a time in that order; the cube is x * x * x because
+    # np.power takes about 17x as long.
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_SCALE
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= 0.5 * x
+    return t
 
 
 def attention_rows(block: Block, h: Matrix, rows: np.ndarray | None = None) -> tuple[Matrix, Matrix]:
@@ -209,13 +236,14 @@ def attention_rows(block: Block, h: Matrix, rows: np.ndarray | None = None) -> t
     seq, d = h.shape
     heads = block.num_heads
     dh = d // heads
-    inv_sqrt_dh = 1.0 / np.sqrt(dh)
+    inv_sqrt_dh = 1.0 / math.sqrt(dh)
 
     head_outs = np.empty((q.shape[0], d))
     joint = np.zeros((q.shape[0], seq))
     for i in range(heads):
         sl = slice(i * dh, (i + 1) * dh)
-        logits = matmul_nt(q[:, sl], k[:, sl]) * inv_sqrt_dh
+        logits = matmul_nt(q[:, sl], k[:, sl])
+        logits *= inv_sqrt_dh
         probs = softmax_rows(logits)
         head_outs[:, sl] = matmul(probs, v[:, sl])
         joint += probs
@@ -235,8 +263,9 @@ def block_forward(block: Block, h: Matrix, text_tokens: int) -> BlockOutputs:
     if h.ndim != 2 or h.shape[1] != block.wq.shape[0]:
         raise ValueError(f"hidden state shape {h.shape} does not match block")
     attn_out, joint = attention_rows(block, h)
-    ffn_out = ffn_forward(block, h + attn_out)
-    block_out = (h + attn_out) + ffn_out
+    block_out = h + attn_out  # the post-attention state, then the output
+    ffn_out = ffn_forward(block, block_out)
+    block_out += ffn_out
     return BlockOutputs(
         attn_out=attn_out,
         ffn_out=ffn_out,

@@ -24,10 +24,22 @@ same order whatever its position in the tile. OpenBLAS does, at one thread
 and at two; ``tests/test_properties.py`` checks the row property over random
 shapes and row subsets, and ``tests/test_cli.py`` checks that a trace does
 not depend on the BLAS thread count.
+
+The hot paths here and in :mod:`corgi.model`, :mod:`corgi.saliency` and
+:mod:`corgi.contribution` spell their reductions as ``np.add.reduce`` /
+``np.maximum.reduce`` calls. ``np.sum``, ``np.max``, ``np.mean`` and
+``np.var`` run the very same reductions underneath (``np.mean`` then divides
+by the count, ``np.var`` centres on that mean, squares and sums again), so
+the results are bit-equal; only the Python wrappers, which cost more than
+the arithmetic at this lab's small shapes, are skipped. The same code works
+in place to save temporaries, under one rule: a function writes only to
+arrays it allocated itself (or got fresh from :func:`matmul`), never to an
+argument, because callers pass cache entries' arrays back in as inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,12 +161,13 @@ def matmul_nt(a: Matrix, b: Matrix) -> Matrix:
 def softmax_rows(m: Matrix) -> Matrix:
     """Row-wise exp-normalization with max subtraction for stability."""
     a = ensure_matrix(m, "softmax input")
-    z = a - np.max(a, axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=1, keepdims=True)
+    e = a - np.maximum.reduce(a, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def frobenius_norm(m: Matrix) -> float:
     """Square root of the sum of squared entries."""
     a = ensure_matrix(m, "norm input")
-    return float(np.sqrt(np.sum(np.square(a))))
+    return math.sqrt(np.add.reduce(a * a, axis=None))

@@ -255,6 +255,7 @@ def cost_report(trace: Trace) -> CostReport:
         model["text_tokens"] + model["image_tokens"],
         model["hidden_dim"],
         model["ffn_dim"],
+        model["image_tokens"],
         salient_sizes,
     )
 

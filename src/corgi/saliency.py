@@ -74,10 +74,11 @@ def kmeans_1d_two(values) -> KMeansResult:
     n = sv.size
 
     def split_sse(k: int) -> float:
-        low, high = sv[:k], sv[k:]
-        return float(
-            np.sum((low - low.mean()) ** 2) + np.sum((high - high.mean()) ** 2)
-        )
+        # sum((low - low.mean()) ** 2) + sum((high - high.mean()) ** 2)
+        # through the same add.reduce calls, without the wrappers
+        low = sv[:k] - np.add.reduce(sv[:k]) / k
+        high = sv[k:] - np.add.reduce(sv[k:]) / (n - k)
+        return float(np.add.reduce(low * low) + np.add.reduce(high * high))
 
     if sv[0] == sv[-1]:  # all equal: every split ties, smallest high side wins
         best_k = n - 1

@@ -45,8 +45,9 @@ def test_unknown_mode_rejected():
 
 def test_report_full_policy_totals():
     modes = [[MODE_FULL] * 4 for _ in range(3)]
-    report = build_cost_report(modes, seq_len=8, dim=4, ffn_dim=8)
-    assert report.flops_full == report.flops_actual == 12 * 1536
+    report = build_cost_report(modes, seq_len=8, dim=4, ffn_dim=8, image_tokens=6)
+    # 12 full blocks plus three steps of the 6 x 4 x 4 eps head
+    assert report.flops_full == report.flops_actual == 12 * 1536 + 3 * 6 * 16
     assert report.speedup == 1.0
     assert report.blocks_computed == report.blocks_total == 12
 
@@ -57,17 +58,18 @@ def test_report_worked_schedule():
     modes = [
         [MODE_CACHED] * c + [MODE_FULL] * (8 - c) for c in cached_per_step
     ]
-    report = build_cost_report(modes, seq_len=20, dim=32, ffn_dim=64)
+    report = build_cost_report(modes, seq_len=20, dim=32, ffn_dim=64, image_tokens=16)
     assert report.blocks_total == 96
     assert report.blocks_computed == 60
     assert report.block_speedup == 96 / 60
     assert report.flops_actual < report.flops_full
+    assert report.flops_full == 96 * flops_block(20, 32, 64, MODE_FULL) + 12 * 16 * 32 * 32
     assert [row["cached"] for row in report.per_step] == cached_per_step
     assert sum(row["flops"] for row in report.per_step) == report.flops_actual
 
 
 def test_report_partial_uses_salient_sizes():
     modes = [[MODE_CACHED_PARTIAL, MODE_FULL]]
-    small = build_cost_report(modes, 10, 8, 16, salient_sizes={(0, 0): 1})
-    big = build_cost_report(modes, 10, 8, 16, salient_sizes={(0, 0): 9})
+    small = build_cost_report(modes, 10, 8, 16, 6, salient_sizes={(0, 0): 1})
+    big = build_cost_report(modes, 10, 8, 16, 6, salient_sizes={(0, 0): 9})
     assert small.flops_actual < big.flops_actual

@@ -5,9 +5,21 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from corgi import CorgiConfig, PolicyKind, SeededRng, Trace, run_reference, run_with_policy
+from corgi import (
+    CorgiConfig,
+    PolicyKind,
+    SeededRng,
+    Trace,
+    kmeans_1d_two,
+    run_reference,
+    run_with_policy,
+    softmax_rows,
+)
+from corgi.model import _gelu, _layernorm
 from corgi.numerics import matmul, matmul_nt
+from corgi.saliency import KMeansResult
 
 from helpers import bit_identical_to_reference, toy_setup
 
@@ -121,3 +133,80 @@ def test_row_subset_products_are_bit_equal_to_rows_of_the_full_product(operands)
     assert np.array_equal(matmul(a[rows], b), matmul(a, b)[rows])
     assert np.array_equal(matmul_nt(a[rows], c), matmul_nt(a, c)[rows])
     assert np.array_equal(matmul_nt(a[rows], a), matmul_nt(a, a)[rows])
+
+
+# Textbook forms of the hot-path helpers, as np.mean/np.var/np.max/np.sum
+# formulas; the helpers spell the same reductions as direct ufunc calls and
+# must agree with these bit for bit.
+def _textbook_layernorm(x, gain, bias):
+    mu = np.mean(x, axis=1, keepdims=True)
+    var = np.var(x, axis=1, keepdims=True)
+    return (x - mu) / np.sqrt(var + 1e-6) * gain + bias
+
+
+def _textbook_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+
+
+def _textbook_softmax(a):
+    e = np.exp(a - np.max(a, axis=1, keepdims=True))
+    return e / np.sum(e, axis=1, keepdims=True)
+
+
+def _textbook_kmeans(values):
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+
+    def split_sse(k):
+        low, high = sv[:k], sv[k:]
+        return float(np.sum((low - low.mean()) ** 2) + np.sum((high - high.mean()) ** 2))
+
+    best_k, best_sse = sv.size - 1, np.inf
+    if sv[0] != sv[-1]:
+        best_k = 1
+        for k in range(1, sv.size):
+            sse = split_sse(k)
+            if sse <= best_sse:
+                best_k, best_sse = k, sse
+    return KMeansResult(
+        low_centroid=float(sv[:best_k].mean()),
+        high_centroid=float(sv[best_k:].mean()),
+        high_indices=tuple(sorted(int(i) for i in order[best_k:])),
+    )
+
+
+def _same_bits(a, b):
+    # stricter than np.array_equal on the values: -0.0 and NaN payloads count
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# ordinary, tiny (subnormals included) and huge magnitudes up to the largest
+# finite float, mixed in one array
+_VALUES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-1e-300, 1e-300),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def helper_operands(draw):
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    return (
+        draw(arrays(np.float64, (rows, cols), elements=_VALUES)),
+        draw(arrays(np.float64, (cols,), elements=_VALUES)),
+        draw(arrays(np.float64, (cols,), elements=_VALUES)),
+        draw(arrays(np.float64, draw(st.integers(2, 24)), elements=_VALUES)),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(helper_operands())
+@example((np.ones((1, 1)), np.ones(1), np.zeros(1), np.array([0.5, 0.5])))
+def test_hot_path_helpers_are_bit_equal_to_their_textbook_formulas(operands):
+    x, gain, bias, column = operands
+    with np.errstate(all="ignore"):  # huge inputs overflow alike on both sides
+        assert _same_bits(_layernorm(x, gain, bias), _textbook_layernorm(x, gain, bias))
+        assert _same_bits(_gelu(x), _textbook_gelu(x))
+        assert _same_bits(softmax_rows(x), _textbook_softmax(x))
+        assert kmeans_1d_two(column) == _textbook_kmeans(column)

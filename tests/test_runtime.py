@@ -20,7 +20,9 @@ from corgi import (
     partial_attention,
     run_reference,
     run_with_policy,
+    softmax_rows,
 )
+from corgi.model import Block, attention_rows, ffn_forward
 from helpers import bit_identical_to_reference, toy_setup
 
 
@@ -345,7 +347,7 @@ def test_refreshed_saliency_is_charged_at_the_sizes_each_step_used(monkeypatch):
                     salient=next(sizes) if mode == "cached_partial" else 0)
         for r in trace.steps
         for mode in r.modes
-    )
+    ) + mc.total_steps * mc.image_tokens * mc.hidden_dim ** 2  # the eps head
     assert next(sizes, None) is None
     assert trace.cost.flops_actual == want
     boundaries = [r.step for r in trace.steps if r.role == "boundary"]
@@ -384,7 +386,9 @@ def test_model_config_mismatch_rejected_before_step_zero():
 def test_executed_macs_match_the_cost_model(monkeypatch):
     # count the multiply-accumulates of every matmul the model module runs;
     # a full block must execute exactly its "full" cost, a partial refresh its
-    # "cached_partial" cost minus the L*d residual additions (no matmul)
+    # "cached_partial" cost minus the L*d residual additions (no matmul), and
+    # a whole run its flops_actual minus those additions of every cached or
+    # cached_partial block
     import corgi.model as model_module
 
     macs = []
@@ -415,6 +419,18 @@ def test_executed_macs_match_the_cost_model(monkeypatch):
             execute_block_corgi_plus(h * 0.9, model.blocks[0], entry, s, mask, mc.text_tokens)
             want = flops_block(L, d, mc.ffn_dim, "cached_partial", salient=len(text) + len(image))
             assert sum(macs) == want - L * d
+
+    model, x = toy_setup(12, hidden_dim=16, ffn_dim=24)
+    L, d = model.config.seq_len, model.config.hidden_dim
+    for kind in PolicyKind:
+        for refresh in (False, True) if kind == PolicyKind.CORGI_PLUS else (False,):
+            macs.clear()
+            trace = run_with_policy(
+                model, x, None, CorgiConfig(policy=kind, top_c=2, refresh_saliency=refresh)
+            )
+            skipped = sum(m != "full" for r in trace.steps for m in r.modes)
+            assert (skipped == 0) == (kind == PolicyKind.NONE)
+            assert sum(macs) == trace.cost.flops_actual - L * d * skipped
 
 
 def test_trace_json_keys_follow_the_record_fields():
@@ -492,3 +508,35 @@ def test_trace_rejects_other_schemas():
     without = {k: v for k, v in d.items() if k != "schema"}
     with pytest.raises(ValueError, match="None.*'corgi-trace/2'"):
         Trace.from_dict(without)
+
+
+def _read_only(a):
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+def test_hot_paths_never_write_to_their_inputs():
+    # the hot paths work in place on their own temporaries only; under
+    # residual=reuse a block's input h is a cache entry's block_out, so a
+    # write to an input would corrupt the cache (here: raise ValueError)
+    model, x = toy_setup(14)
+    mc = model.config
+    block = Block(**{
+        k: _read_only(v) if isinstance(v, np.ndarray) else v for k, v in vars(model.blocks[0]).items()
+    })
+    h = _read_only(np.concatenate([model.text_embed, x], axis=0))
+    want = block_forward(model.blocks[0], np.array(h), mc.text_tokens)
+    entry = BlockOutputs(**{k: _read_only(v) for k, v in vars(want).items()})
+
+    got = block_forward(block, h, mc.text_tokens)
+    assert all(np.array_equal(getattr(got, k), v) for k, v in vars(want).items())
+    attention_rows(block, h)
+    attention_rows(block, h, np.array([1, 5, 7]))
+    ffn_forward(block, h)
+    softmax_rows(h)
+    for residual in ("compute", "reuse"):
+        execute_block_cached(h, block, entry, residual)
+    s = SalientTokenSet(text_indices=(0, 2), image_indices=(1, 4, 9))
+    mask = _read_only(build_mask(s, mc.text_tokens, mc.image_tokens))
+    execute_block_corgi_plus(h, block, entry, s, mask, mc.text_tokens)
