@@ -10,11 +10,12 @@ Subcommands:
 Flags mirror JSON config-file keys (underscored); explicit flags override the
 file, the file overrides built-in defaults. Model keys map onto ModelConfig
 fields through MODEL_KEYS, policy keys are CorgiConfig's field names, and
-both take their defaults and types from those dataclasses; `policies` and
-`out` are the only CLI-only keys. A config file may set only the keys its
-subcommand has flags for. A config-file value of the wrong type, or outside
-its flag's choices, is a usage error. Exit codes: 0 ok, 1 runtime failure,
-2 usage error. Setting COLOR=0 disables ANSI output.
+both take their defaults from those dataclasses; `policies` and `out` are
+the only CLI-only keys. A config file may set only the keys its subcommand
+has flags for, and each key's JSON type and choices come from its flag. A
+config-file value of the wrong type, or outside its flag's choices, is a
+usage error. Exit codes: 0 ok, 1 runtime failure, 2 usage error. Setting
+COLOR=0 disables ANSI output.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-import typing
 from dataclasses import asdict, fields
 
 from .analysis import analyze_model, divergence
@@ -52,35 +52,25 @@ DEFAULTS = {
     "out": None,
 }
 
-_MODEL_HINTS = typing.get_type_hints(ModelConfig)
-# config key -> the types its value may take (a union's members)
-_KEY_TYPES = {
-    key: typing.get_args(hint) or (hint,)
-    for key, hint in {
-        **{key: _MODEL_HINTS[field] for key, field in MODEL_KEYS.items()},
-        **typing.get_type_hints(CorgiConfig),
-        "policy": str,
-        "policies": str,
-        "out": str | None,
-    }.items()
-}
-
 
 def _check_values(parser: argparse.ArgumentParser, loaded: dict) -> None:
     """Usage error for a config-file key the subcommand has no flag for, or a
-    value of the wrong type (a bool is no int) or outside the flag's choices."""
+    value outside its flag's choices or type: the flag's ``type`` (a bool is
+    no int), bool for a ``BooleanOptionalAction``, else str; null only where
+    the key's default is null."""
     flags = {a.dest: a for a in parser._actions if a.dest in DEFAULTS}
     unknown = set(loaded) - set(flags)
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")
     for key, value in loaded.items():
-        types = _KEY_TYPES[key]
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        flag = flags[key]
+        kind = bool if isinstance(flag, argparse.BooleanOptionalAction) else flag.type or str
+        types = (kind, type(None)) if DEFAULTS[key] is None else (kind,)
+        if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
             names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
             parser.error(f"config key {key!r} takes {names}, got {value!r}")
-        choices = flags[key].choices
-        if value is not None and choices is not None and value not in choices:
-            parser.error(f"config key {key!r} takes one of {list(choices)}, got {value!r}")
+        if value is not None and flag.choices is not None and value not in flag.choices:
+            parser.error(f"config key {key!r} takes one of {list(flag.choices)}, got {value!r}")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:

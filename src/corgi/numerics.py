@@ -6,12 +6,15 @@ on these primitives, so two properties are non-negotiable here:
 * all arithmetic is 64-bit float, and
 * random streams are pure functions of (seed, counter).
 
-Every matrix product goes through :func:`matmul` / :func:`matmul_nt` instead
-of ``@``, because the partial-attention engine needs row stability:
-``matmul(A[rows], B)`` must be bit-equal to ``matmul(A, B)[rows]``. Plain
-``@`` does not give that. BLAS gemm picks its kernel, blocking and
-accumulation order from the operand shape, so the same row can come out with
-different low-order bits when the row count changes.
+Every matrix product of the model and the engine goes through :func:`matmul`
+/ :func:`matmul_nt` instead of ``@``, because the partial-attention engine
+needs row stability: ``matmul(A[rows], B)`` must be bit-equal to
+``matmul(A, B)[rows]``. Plain ``@`` does not give that. BLAS gemm picks its
+kernel, blocking and accumulation order from the operand shape, so the same
+row can come out with different low-order bits when the row count changes.
+Only :func:`corgi.contribution.cka` multiplies its Gram matrices with plain
+``@``: they need no row stability, and neither the MAC-counting test nor the
+cost model counts them.
 
 Both functions run one fixed-tile gemm (:func:`_row_tiled`): the rows of
 ``A`` are zero-padded to a multiple of ``_TILE`` and multiplied as a stack of

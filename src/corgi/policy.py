@@ -174,8 +174,8 @@ class IntervalSchedule:
     warm-up at all, the first boundary compares against itself and the
     ranking falls back to index order). corgi_plus also picks per-block
     salient sets at the first boundary (at every boundary with
-    refresh_saliency); their masks tell the engine to refresh those rows, and
-    each pick appends one ``saliency`` entry per block, tagged with its step.
+    refresh_saliency) into ``refresh`` for the engine; each pick appends one
+    ``saliency`` entry per block, tagged with its step.
     """
 
     def __init__(self, rcfg: CorgiConfig, mc: ModelConfig):
@@ -186,8 +186,7 @@ class IntervalSchedule:
         self.snapshot: list[Matrix] | None = None
         self.contributions: list[dict] = []
         self.saliency: list[dict] | None = None
-        self.salient: list[SalientTokenSet] | None = None
-        self.masks: list[np.ndarray] | None = None
+        self.refresh: list[tuple[SalientTokenSet, np.ndarray]] | None = None
 
     def label(self, step: int) -> str:
         return self.roles[step].label()
@@ -210,17 +209,17 @@ class IntervalSchedule:
             self.contributions.append({"step": step, "scores": [float(v) for v in scores]})
             self.snapshot = block_outs
             if rcfg.policy == PolicyKind.CORGI_PLUS and (
-                self.salient is None or rcfg.refresh_saliency
+                self.refresh is None or rcfg.refresh_saliency
             ):
                 mc = self.mc
-                self.salient = [identify_salient(o.cross_map, rcfg.top_c) for o in outputs]
-                self.masks = [
-                    build_mask(ss, mc.text_tokens, mc.image_tokens) for ss in self.salient
+                picks = [identify_salient(o.cross_map, rcfg.top_c) for o in outputs]
+                self.refresh = [
+                    (ss, build_mask(ss, mc.text_tokens, mc.image_tokens)) for ss in picks
                 ]
                 self.saliency = (self.saliency or []) + [
                     {"step": step, "block": b, "text": list(ss.text_indices),
                      "image": list(ss.image_indices)}
-                    for b, ss in enumerate(self.salient)
+                    for b, ss in enumerate(picks)
                 ]
         elif step == rcfg.warmup - 1:
             self.snapshot = [o.block_out for o in outputs]  # bootstrap reference
@@ -229,9 +228,9 @@ class IntervalSchedule:
 class BaselineSchedule:
     """none, per_step_naive, parity and random: one rule at every step.
 
-    per_step_naive ranks the blocks by the contribution between the two
-    previous steps' block outputs (index order until two steps exist);
-    random draws from its own seeded stream.
+    per_step_naive ranks the blocks at each post-warm-up step by the
+    contribution between the two previous steps' block outputs (index order
+    until two steps exist); random draws from its own seeded stream.
     """
 
     def __init__(self, rcfg: CorgiConfig, mc: ModelConfig):
@@ -241,8 +240,7 @@ class BaselineSchedule:
         self.previous: tuple[list[Matrix] | None, list[Matrix] | None] = (None, None)
         self.contributions: list[dict] = []
         self.saliency: list[dict] | None = None
-        self.salient: list[SalientTokenSet] | None = None
-        self.masks: list[np.ndarray] | None = None
+        self.refresh: list[tuple[SalientTokenSet, np.ndarray]] | None = None
 
     def label(self, step: int) -> str:
         rcfg = self.rcfg
@@ -250,10 +248,8 @@ class BaselineSchedule:
 
     def directive(self, step: int) -> set[int]:
         rcfg = self.rcfg
-        if rcfg.policy == PolicyKind.NONE:
-            return set()
         ranking = None
-        if rcfg.policy == PolicyKind.PER_STEP_NAIVE:
+        if rcfg.policy == PolicyKind.PER_STEP_NAIVE and step >= rcfg.warmup:
             older, newer = self.previous
             if older is None:
                 ranking = list(range(self.num_blocks))
@@ -275,16 +271,10 @@ def make_schedule(rcfg: CorgiConfig, mc: ModelConfig) -> IntervalSchedule | Base
     ``label(step)`` (the step's role) and ``observe(step, outputs)`` (the
     step's per-block outputs, after it ran), and carries ``contributions``
     (per-boundary scores), ``saliency`` (one entry per block and salient-set
-    pick, or None when no set was picked) plus ``salient``/``masks`` (the
-    per-block salient sets and row masks in force, or None when cached blocks
-    replay whole).
+    pick, or None when no set was picked) and ``refresh``: per block, the
+    salient set in force and its row mask, or None when cached blocks replay
+    whole.
     """
-    schedule = {
-        PolicyKind.NONE: BaselineSchedule,
-        PolicyKind.CORGI: IntervalSchedule,
-        PolicyKind.CORGI_PLUS: IntervalSchedule,
-        PolicyKind.PER_STEP_NAIVE: BaselineSchedule,
-        PolicyKind.PARITY: BaselineSchedule,
-        PolicyKind.RANDOM: BaselineSchedule,
-    }[rcfg.policy]
-    return schedule(rcfg, mc)
+    if rcfg.policy in (PolicyKind.CORGI, PolicyKind.CORGI_PLUS):
+        return IntervalSchedule(rcfg, mc)
+    return BaselineSchedule(rcfg, mc)

@@ -16,10 +16,10 @@ with the ablation variant that replays the entire stored block output,
 
     out = h_that + attn_cached + ffn_cached         (reuse-residual)
 
-When the schedule carries salient masks (corgi_plus), a cached block instead
-recomputes attention rows for its salient set only and merges them into the
-cached ATTN output through a binary mask; the FFN term stays cached and the
-residual is always fresh.
+When the schedule carries a salient refresh (corgi_plus), a cached block
+instead recomputes attention rows for its salient set only and merges them
+into the cached ATTN output through a binary mask; the FFN term stays cached
+and the residual is always fresh.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .model import (
     state_checksum,
 )
 from .policy import RESIDUAL_CHOICES, CorgiConfig, make_schedule
-from .saliency import SalientTokenSet
+from .saliency import SalientTokenSet, salient_rows
 
 
 def execute_block_cached(
@@ -70,12 +70,6 @@ def execute_block_cached(
         block_out=out,
         cross_map=entry.cross_map,
     )
-
-
-def salient_rows(s: SalientTokenSet, text_tokens: int) -> np.ndarray:
-    """Joint-sequence row indices of a salient set, ascending."""
-    rows = list(s.text_indices) + [text_tokens + v for v in s.image_indices]
-    return np.array(sorted(rows), dtype=np.intp)
 
 
 def partial_attention(block: Block, h: Matrix, s: SalientTokenSet, text_tokens: int) -> Matrix:
@@ -286,7 +280,7 @@ def run_with_policy(
     refreshes its cache entry. A directive that lands on a never-filled
     entry (only possible at step 0 with warmup=0) falls back to full
     computation. Cached blocks run through :func:`execute_block_corgi_plus`
-    when the schedule carries salient masks, else through
+    when the schedule carries a salient refresh, else through
     :func:`execute_block_cached` with the configured residual strategy.
     """
     mc = model.config
@@ -305,23 +299,19 @@ def run_with_policy(
 
     for s in range(mc.total_steps):
         directive = schedule.directive(s)
-        salient, masks = schedule.salient, schedule.masks
+        refresh = schedule.refresh
         h = initial_hidden(model, x, s, text_embed)
         modes: list[str] = []
-        applied: list[int] = []
         step_outputs: list[BlockOutputs] = []
         for b, block in enumerate(model.blocks):
             entry = cache[b]
             if b in directive and entry is not None:
-                if masks is None:
+                if refresh is None:
                     outs = execute_block_cached(h, block, entry, rcfg.residual)
                     mode = MODE_CACHED
                 else:
-                    outs = execute_block_corgi_plus(
-                        h, block, entry, salient[b], masks[b], mc.text_tokens
-                    )
+                    outs = execute_block_corgi_plus(h, block, entry, *refresh[b], mc.text_tokens)
                     mode = MODE_CACHED_PARTIAL
-                applied.append(b)
             else:
                 outs = cache[b] = block_forward(block, h, mc.text_tokens)
                 mode = MODE_FULL
@@ -337,7 +327,7 @@ def run_with_policy(
             StepRecord(
                 step=s,
                 role=schedule.label(s),
-                cached=tuple(applied),
+                cached=tuple(b for b, m in enumerate(modes) if m != MODE_FULL),
                 modes=tuple(modes),
                 checksum=state_checksum(h),
                 noise_pred=eps,

@@ -3,8 +3,8 @@
 Pipeline, per block: each text token gets a saliency score (the maximum
 attention any image token pays it), the top-c text tokens are kept, and for
 each kept text token the image tokens in the high cluster of an exact 1-D
-2-means split of its attention column join the set. Token masks lay the set
-out in the joint sequence order (text rows first, then image rows).
+2-means split of its attention column join the set. Its joint-sequence rows
+and mask put text rows first, then image rows (:func:`salient_rows`).
 """
 
 from __future__ import annotations
@@ -111,15 +111,21 @@ def identify_salient(cross_map: Matrix, c: int) -> SalientTokenSet:
     return SalientTokenSet(text_indices=text, image_indices=tuple(sorted(image)))
 
 
+def salient_rows(s: SalientTokenSet, text_tokens: int) -> np.ndarray:
+    """Joint-sequence row indices of a salient set, ascending: text rows
+    first, then image rows."""
+    rows = list(s.text_indices) + [text_tokens + v for v in s.image_indices]
+    return np.array(sorted(rows), dtype=np.intp)
+
+
 def build_mask(s: SalientTokenSet, text_tokens: int, image_tokens: int) -> np.ndarray:
-    """Binary mask over the joint sequence: text rows first, then image rows."""
-    mask = np.zeros(text_tokens + image_tokens, dtype=np.int8)
+    """Binary mask over the joint sequence: 1 on the :func:`salient_rows`."""
     for u in s.text_indices:
         if not 0 <= u < text_tokens:
             raise ValueError(f"text index {u} out of range 0..{text_tokens - 1}")
-        mask[u] = 1
     for v in s.image_indices:
         if not 0 <= v < image_tokens:
             raise ValueError(f"image index {v} out of range 0..{image_tokens - 1}")
-        mask[text_tokens + v] = 1
+    mask = np.zeros(text_tokens + image_tokens, dtype=np.int8)
+    mask[salient_rows(s, text_tokens)] = 1
     return mask

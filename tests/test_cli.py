@@ -120,6 +120,32 @@ def test_config_null_takes_the_default(tmp_path):
     assert main(["run", *SMALL, "--config", str(cfg), "-o", str(tmp_path / "t.json")]) == 0
 
 
+def _accepted_keys():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, a.dest)
+        for name in ("run", "compare", "ablate")
+        for a in sub.choices[name]._actions
+        if a.dest in DEFAULTS
+    ]
+
+
+@pytest.mark.parametrize("command, key", _accepted_keys())
+def test_config_key_type_follows_its_flag(tmp_path, capsys, command, key):
+    # every key refuses a list, and takes null exactly when its default is null
+    cfg = tmp_path / "cfg.json"
+    argv = [command, *SMALL, "--config", str(cfg), "-o", str(tmp_path / "out.json")]
+    for value, accepted in (([1], False), (None, DEFAULTS[key] is None)):
+        cfg.write_text(json.dumps({key: value}))
+        if accepted:
+            assert main(argv) == 0
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert repr(key) in capsys.readouterr().err
+
+
 def test_defaults_match_the_flags():
     # a config key without a flag (or a flag without a default) fails here
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -34,6 +34,14 @@ def test_degenerate_norms():
     assert cka(x, z) == 0.0
 
 
+def test_gram_matrix_overflow_rejected():
+    # finite inputs whose Gram matrices overflow: the norm's finiteness scan
+    # on each Gram matrix is what raises
+    x = np.full((2, 2), 1e200)
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        cka(x, 0.5 * x)
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="shape"):
         cka(np.ones((2, 2)), np.ones((3, 2)))

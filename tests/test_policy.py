@@ -6,9 +6,12 @@ from corgi import (
     SeededRng,
     baseline_directives,
     cached_count,
+    contribution_scores,
     plan_steps,
+    run_with_policy,
     select_cached,
 )
+from helpers import toy_setup
 
 
 def test_plan_worked_example():
@@ -92,6 +95,25 @@ def test_naive_directive_takes_ranking_prefix():
     assert got == {5, 0, 7, 1}
     with pytest.raises(ValueError):
         baseline_directives(PolicyKind.PER_STEP_NAIVE, 4, 2, 8)
+
+
+@pytest.mark.parametrize("warmup, scored", [(0, 10), (1, 10), (5, 7)])
+def test_per_step_naive_scores_only_steps_whose_ranking_it_reads(monkeypatch, warmup, scored):
+    # the ranking is read at post-warm-up steps, and it needs two earlier
+    # steps: T - max(warmup, 2) scorings at the CLI's default 12 steps
+    import corgi.policy as policy
+
+    calls = []
+
+    def spy(prev, cur):
+        calls.append(1)
+        return contribution_scores(prev, cur)
+
+    monkeypatch.setattr(policy, "contribution_scores", spy)
+    model, x = toy_setup(0)
+    assert model.config.total_steps == 12
+    run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.PER_STEP_NAIVE, warmup=warmup))
+    assert len(calls) == scored
 
 
 def test_random_directive_is_seeded():
