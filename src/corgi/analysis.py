@@ -82,13 +82,10 @@ def block_ablation(
     if reference is None:
         reference = run_reference(model, x_init, text_embed)
     pruned = run_reference(model, x_init, text_embed, pruned_blocks={block_index})
-    steps = model.config.total_steps
-    tokens = model.config.image_tokens
-    out = np.empty((steps, tokens))
-    for s in range(steps):
-        for v in range(tokens):
-            out[s, v] = _cosine(pruned.noise_preds[s][v], reference.noise_preds[s][v])
-    return out
+    return np.array([
+        [_cosine(p, r) for p, r in zip(p_step, r_step, strict=True)]
+        for p_step, r_step in zip(pruned.noise_preds, reference.noise_preds, strict=True)
+    ])
 
 
 def adjacent_step_cka(reference: ReferenceTrajectory) -> list[float]:

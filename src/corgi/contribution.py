@@ -43,11 +43,10 @@ def cka(x: Matrix, y: Matrix) -> float:
 
 
 def contribution_scores(prev: FeatureSnapshot, cur: FeatureSnapshot) -> np.ndarray:
-    """Per-block score 1 - similarity(cur_i, prev_i), clipped to [0, 1]."""
+    """Per-block score 1 - similarity(cur_i, prev_i), in [0, 1]."""
     if len(prev) != len(cur):
         raise ValueError(f"snapshot block counts differ: {len(prev)} vs {len(cur)}")
-    scores = np.array([1.0 - cka(c, p) for p, c in zip(prev, cur)])
-    return np.clip(scores, 0.0, 1.0)
+    return np.array([1.0 - cka(c, p) for p, c in zip(prev, cur)])
 
 
 def rank_ascending(scores) -> list[int]:

@@ -332,8 +332,6 @@ def run_reference(
     is the block-ablation probe; the default runs the intact model.
     """
     cfg = model.config
-    if text_embed is None:
-        text_embed = model.text_embed
     x = np.asarray(x_init, dtype=np.float64)
     if x.shape != (cfg.image_tokens, cfg.hidden_dim):
         raise ValueError(

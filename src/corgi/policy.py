@@ -261,7 +261,8 @@ class BaselineSchedule:
         )
 
     def observe(self, step: int, outputs: list[BlockOutputs]) -> None:
-        self.previous = (self.previous[1], [o.block_out for o in outputs])
+        if self.rcfg.policy == PolicyKind.PER_STEP_NAIVE:  # the only baseline that reads them
+            self.previous = (self.previous[1], [o.block_out for o in outputs])
 
 
 def make_schedule(rcfg: CorgiConfig, mc: ModelConfig) -> IntervalSchedule | BaselineSchedule:

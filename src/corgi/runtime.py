@@ -285,8 +285,6 @@ def run_with_policy(
     """
     mc = model.config
     rcfg = config.resolved(mc.total_steps, mc.num_blocks, mc.text_tokens)
-    if text_embed is None:
-        text_embed = model.text_embed
     x = np.asarray(x_init, dtype=np.float64)
     if x.shape != (mc.image_tokens, mc.hidden_dim):
         raise ValueError(

@@ -18,14 +18,10 @@ from .numerics import Matrix, ensure_matrix
 
 @dataclass(frozen=True)
 class KMeansResult:
-    """Exact 2-means partition of a 1-D value set.
+    """High cluster of an exact 2-means partition of a 1-D value set: the
+    indices, ascending, on the side with the larger centroid (upper side on
+    ties)."""
 
-    The high cluster is the side with the larger centroid (upper side on
-    ties). low_centroid is None when the input has a single value.
-    """
-
-    low_centroid: float | None
-    high_centroid: float
     high_indices: tuple[int, ...]
 
 
@@ -63,12 +59,8 @@ def kmeans_1d_two(values) -> KMeansResult:
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.size == 0:
         raise ValueError("need at least one value")
-    if values.size == 1:
-        return KMeansResult(
-            low_centroid=None,
-            high_centroid=float(values[0]),
-            high_indices=(0,),
-        )
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
     order = np.argsort(values, kind="stable")
     sv = values[order]
     n = sv.size
@@ -89,12 +81,7 @@ def kmeans_1d_two(values) -> KMeansResult:
             if sse <= best_sse:  # <= prefers larger k: smaller high cluster
                 best_k, best_sse = k, sse
 
-    low, high = sv[:best_k], sv[best_k:]
-    return KMeansResult(
-        low_centroid=float(low.mean()),
-        high_centroid=float(high.mean()),
-        high_indices=tuple(sorted(int(i) for i in order[best_k:])),
-    )
+    return KMeansResult(high_indices=tuple(sorted(int(i) for i in order[best_k:])))
 
 
 def identify_salient(cross_map: Matrix, c: int) -> SalientTokenSet:
@@ -103,8 +90,8 @@ def identify_salient(cross_map: Matrix, c: int) -> SalientTokenSet:
     Selected text tokens contribute the high cluster of their attention
     column; the image set is the union over selected columns.
     """
-    a = ensure_matrix(cross_map, "cross_map")
-    text = top_c_text(saliency_scores(a), c)
+    text = top_c_text(saliency_scores(cross_map), c)  # saliency_scores validates cross_map
+    a = np.asarray(cross_map, dtype=np.float64)
     image: set[int] = set()
     for u in text:
         image.update(kmeans_1d_two(a[:, u]).high_indices)

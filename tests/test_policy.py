@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from corgi import (
@@ -5,6 +8,7 @@ from corgi import (
     PolicyKind,
     SeededRng,
     baseline_directives,
+    block_forward,
     cached_count,
     contribution_scores,
     plan_steps,
@@ -114,6 +118,32 @@ def test_per_step_naive_scores_only_steps_whose_ranking_it_reads(monkeypatch, wa
     assert model.config.total_steps == 12
     run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.PER_STEP_NAIVE, warmup=warmup))
     assert len(calls) == scored
+
+
+@pytest.mark.parametrize("policy, holds", [
+    (PolicyKind.NONE, False),
+    (PolicyKind.PER_STEP_NAIVE, True),
+    (PolicyKind.PARITY, False),
+    (PolicyKind.RANDOM, False),
+])
+def test_baseline_keeps_block_outputs_only_when_it_ranks(policy, holds):
+    # only per_step_naive reads the previous two steps' block outputs
+    from corgi.model import initial_hidden
+    from corgi.policy import make_schedule
+
+    model, x = toy_setup(0)
+    mc = model.config
+    schedule = make_schedule(CorgiConfig(policy=policy).resolved(
+        mc.total_steps, mc.num_blocks, mc.text_tokens), mc)
+    refs = []
+    for step in range(2):
+        h = initial_hidden(model, x, step)
+        outputs = [block_forward(block, h, mc.text_tokens) for block in model.blocks]
+        refs += [weakref.ref(o.block_out) for o in outputs]
+        schedule.observe(step, outputs)
+        del outputs
+    gc.collect()
+    assert [r() is not None for r in refs] == [holds] * len(refs)
 
 
 def test_random_directive_is_seeded():

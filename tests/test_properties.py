@@ -168,11 +168,7 @@ def _textbook_kmeans(values):
             sse = split_sse(k)
             if sse <= best_sse:
                 best_k, best_sse = k, sse
-    return KMeansResult(
-        low_centroid=float(sv[:best_k].mean()),
-        high_centroid=float(sv[best_k:].mean()),
-        high_indices=tuple(sorted(int(i) for i in order[best_k:])),
-    )
+    return KMeansResult(high_indices=tuple(sorted(int(i) for i in order[best_k:])))
 
 
 def _same_bits(a, b):

