@@ -6,6 +6,16 @@ the model with one block replaced by the identity and maps, per step and per
 image token, how far the prediction drifts. The adjacent-step similarity
 series quantifies how little the predicted noise moves between consecutive
 denoising steps.
+
+Both cosines go through one row-wise helper that is bit-equal to the scalar
+formula ``dot(a, b) / (norm(a) * norm(b))`` on each row pair: numpy's
+``matmul`` sends every ``(1, d) @ (d, 1)`` product of a stack to the same
+BLAS ``ddot`` that ``np.dot`` and ``np.linalg.norm`` call on a 1-D vector, so
+the per-row sums are added in the same order. The operands are made
+C-contiguous first because ``ddot`` sums a unit-stride vector in a different
+order than a strided one; the scalar formula always saw unit-stride rows. A
+sum reordered by ``einsum``, ``(a * b).sum(axis=1)`` or
+``np.linalg.norm(..., axis=1)`` would move the low-order bits of the maps.
 """
 
 from __future__ import annotations
@@ -19,16 +29,27 @@ from .model import Matrix, Model, ReferenceTrajectory, run_reference
 from .runtime import Trace
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine over flattened values; value-identical inputs are exactly 1."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if np.array_equal(a, b):
-        return 1.0
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+def _row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of every row pair of two equal-shape 2-D arrays: 0 where either
+    row is all zeros, and exactly 1 where the rows are value-identical."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    dot = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    na = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+    nb = np.sqrt(np.matmul(b[:, None, :], b[:, :, None])[:, 0, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero rows are set below
+        cos = np.clip(dot / (na * nb), -1.0, 1.0)
+    cos[(na == 0.0) | (nb == 0.0)] = 0.0
+    cos[(a == b).all(axis=1)] = 1.0
+    return cos
+
+
+def _check_same_shapes(got: list[Matrix], want: list[Matrix]) -> None:
+    if len(got) != len(want):
+        raise ValueError(f"step counts differ: {len(got)} vs {len(want)}")
+    for g, w in zip(got, want):
+        if g.shape != w.shape:
+            raise ValueError(f"noise shapes differ: {g.shape} vs {w.shape}")
 
 
 @dataclass
@@ -44,24 +65,14 @@ class DivergenceReport:
 def divergence(trace: Trace, reference: ReferenceTrajectory) -> DivergenceReport:
     """MSE and cosine of the predicted noise at every step, plus the final
     latent; zero MSE at a step means the step is value-identical."""
-    preds = trace.noise_preds
-    if len(preds) != len(reference.noise_preds):
-        raise ValueError(
-            f"step counts differ: {len(preds)} vs {len(reference.noise_preds)}"
-        )
-    mse, cos = [], []
-    for got, want in zip(preds, reference.noise_preds):
-        if got.shape != want.shape:
-            raise ValueError(f"noise shapes differ: {got.shape} vs {want.shape}")
-        mse.append(float(np.mean((got - want) ** 2)))
-        cos.append(_cosine(got, want))
-    final = trace.final_output
-    return DivergenceReport(
-        per_step_mse=mse,
-        per_step_cosine=cos,
-        final_mse=float(np.mean((final - reference.final_output) ** 2)),
-        final_cosine=_cosine(final, reference.final_output),
-    )
+    _check_same_shapes(trace.noise_preds, reference.noise_preds)
+    pairs = [
+        *zip(trace.noise_preds, reference.noise_preds),
+        (trace.final_output, reference.final_output),
+    ]
+    mse = [float(np.mean((got - want) ** 2)) for got, want in pairs]
+    cos = [float(_row_cosines(got.reshape(1, -1), want.reshape(1, -1))[0]) for got, want in pairs]
+    return DivergenceReport(mse[:-1], cos[:-1], final_mse=mse[-1], final_cosine=cos[-1])
 
 
 def block_ablation(
@@ -82,10 +93,8 @@ def block_ablation(
     if reference is None:
         reference = run_reference(model, x_init, text_embed)
     pruned = run_reference(model, x_init, text_embed, pruned_blocks={block_index})
-    return np.array([
-        [_cosine(p, r) for p, r in zip(p_step, r_step, strict=True)]
-        for p_step, r_step in zip(pruned.noise_preds, reference.noise_preds, strict=True)
-    ])
+    _check_same_shapes(pruned.noise_preds, reference.noise_preds)
+    return np.array([_row_cosines(p, r) for p, r in zip(pruned.noise_preds, reference.noise_preds)])
 
 
 def adjacent_step_cka(reference: ReferenceTrajectory) -> list[float]:

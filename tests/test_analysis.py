@@ -72,6 +72,23 @@ def test_ablation_matches_independent_rerun():
                 assert got[s, v] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        ({"hidden_dim": 32}, r"noise shapes differ: \(16, 16\) vs \(16, 32\)"),
+        ({"image_tokens": 12}, r"noise shapes differ: \(16, 16\) vs \(12, 16\)"),
+        ({"total_steps": 4}, "step counts differ: 3 vs 4"),
+    ],
+    ids=["hidden_dim", "image_tokens", "total_steps"],
+)
+def test_ablation_rejects_a_reference_of_another_shape(change, message):
+    shape = dict(num_blocks=2, total_steps=3, hidden_dim=16, ffn_dim=16, num_heads=2, image_tokens=16)
+    model, x = toy_setup(5, **shape)
+    other, x_other = toy_setup(5, **{**shape, **change})
+    with pytest.raises(ValueError, match=message):
+        block_ablation(model, x, None, 0, reference=run_reference(other, x_other))
+
+
 def test_ablation_index_out_of_range():
     model, x = toy_setup(5, num_blocks=2, total_steps=3, hidden_dim=16, ffn_dim=16, num_heads=2)
     with pytest.raises(ValueError, match="out of range"):

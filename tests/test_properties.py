@@ -17,6 +17,7 @@ from corgi import (
     run_with_policy,
     softmax_rows,
 )
+from corgi.analysis import _row_cosines
 from corgi.model import _gelu, _layernorm
 from corgi.numerics import matmul, matmul_nt
 from corgi.saliency import KMeansResult
@@ -206,3 +207,64 @@ def test_hot_path_helpers_are_bit_equal_to_their_textbook_formulas(operands):
         assert _same_bits(_gelu(x), _textbook_gelu(x))
         assert _same_bits(softmax_rows(x), _textbook_softmax(x))
         assert kmeans_1d_two(column) == _textbook_kmeans(column)
+
+
+def _scalar_cosine(a, b):
+    # the scalar cosine of one row pair, the reference the batched
+    # analysis._row_cosines must match bit for bit
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if np.array_equal(a, b):
+        return 1.0
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+_ROW_EDITS = ("same", "zero_a", "zero_b", "both_zero", "negated")
+
+
+def _lay_out(x, layout):
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "strided":  # every other column of a wider array
+        wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+        wide[:, ::2] = x
+        return wide[:, ::2]
+    return x
+
+
+@st.composite
+def row_pairs(draw):
+    n, d = draw(st.integers(1, 70)), draw(st.integers(1, 130))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**64 - 1)))
+    # each row gets its own magnitude between 1e-150 and 1e150
+    a, b = rng.standard_normal((2, n, d)) * 10.0 ** rng.uniform(-150.0, 150.0, (2, n, 1))
+    for row, edit in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(_ROW_EDITS)))):
+        if edit == "same":
+            b[row] = a[row]
+        elif edit == "negated":
+            b[row] = -a[row]
+        if edit in ("zero_a", "both_zero"):
+            a[row] = 0.0
+        if edit in ("zero_b", "both_zero"):
+            b[row] = 0.0
+    layouts = st.sampled_from(["c", "fortran", "strided"])
+    return _lay_out(a, draw(layouts)), _lay_out(b, draw(layouts))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(row_pairs())
+@example((np.zeros((2, 3)), np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])))
+@example((np.array([[1.0, -2.0], [3.0, 4.0]]), np.array([[-1.0, 2.0], [3.0, 4.0]])))
+def test_row_cosines_are_bit_equal_to_the_scalar_formula(pair):
+    # matmul runs each (1, d) @ (d, 1) product of a stack through the same
+    # BLAS ddot as np.dot and np.linalg.norm on a unit-stride vector, so the
+    # batched cosines must not move a bit; strided and Fortran-ordered inputs
+    # check that the helper, like the scalar form, sums unit-stride copies
+    a, b = pair
+    got = _row_cosines(a, b)
+    with np.errstate(all="ignore"):  # tiny norms underflow alike on both sides
+        want = np.array([_scalar_cosine(p, q) for p, q in zip(a, b)])
+    assert _same_bits(got, want)
