@@ -24,6 +24,10 @@ def cka(x: Matrix, y: Matrix) -> float:
     Degenerate norms: both inputs zero -> 1.0 (nothing changed), exactly one
     zero -> 0.0 (maximal change). Value-identical inputs return exactly 1
     (the formula's real-arithmetic value, short-circuited past rounding).
+    A Gram norm that overflows float64 raises ValueError: the ratio cannot be
+    formed, and 0.0 would rank the block as changed as much as a block can.
+    (Their product cannot overflow: each is at most sqrt(DBL_MAX), and
+    sqrt(DBL_MAX) ** 2 rounds below DBL_MAX.)
     """
     x = ensure_matrix(x, "x")
     y = ensure_matrix(y, "y")

@@ -31,6 +31,7 @@ from .numerics import (
     Matrix,
     SeededRng,
     derive_seed,
+    ensure_matrix,
     matmul,
     matmul_nt,
     softmax_rows,
@@ -258,7 +259,11 @@ def ffn_forward(block: Block, z: Matrix) -> Matrix:
 
 
 def block_forward(block: Block, h: Matrix, text_tokens: int) -> BlockOutputs:
-    """Full computation of one block on hidden state h ((L_text+L_img) x d)."""
+    """Full computation of one block on hidden state h ((L_text+L_img) x d).
+
+    Only the shape of h is checked; non-finite rows of h propagate into
+    non-finite outputs (a run checks its inputs once, at entry).
+    """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != block.wq.shape[0]:
         raise ValueError(f"hidden state shape {h.shape} does not match block")
@@ -289,6 +294,26 @@ def denoise_step_mean(x_t: Matrix, eps: Matrix, t: int, schedule: NoiseSchedule)
     alpha = schedule.alphas[t - 1]
     alpha_bar = schedule.alpha_bars[t - 1]
     return (x_t - (1.0 - alpha) / np.sqrt(1.0 - alpha_bar) * eps) / np.sqrt(alpha)
+
+
+def check_run_inputs(
+    model: Model, x_init: Matrix, text_embed: Matrix | None
+) -> tuple[Matrix, Matrix | None]:
+    """A run's arrays as float64, checked once at its entry point: x_init
+    must be a finite image_tokens x hidden_dim latent and text_embed, when
+    given, a finite text_tokens x hidden_dim embedding."""
+    cfg = model.config
+
+    def check(name: str, m: Matrix, rows: int) -> Matrix:
+        a = np.asarray(m, dtype=np.float64)
+        if a.shape != (rows, cfg.hidden_dim):
+            raise ValueError(f"{name} shape {a.shape} != ({rows}, {cfg.hidden_dim})")
+        return ensure_matrix(a, name)
+
+    x = check("x_init", x_init, cfg.image_tokens)
+    if text_embed is not None:
+        text_embed = check("text_embed", text_embed, cfg.text_tokens)
+    return x, text_embed
 
 
 def initial_hidden(model: Model, x: Matrix, step: int, text_embed: Matrix | None = None) -> Matrix:
@@ -329,14 +354,11 @@ def run_reference(
     """Run the full denoising loop computing every block at every step.
 
     pruned_blocks replaces the named blocks with the identity (out = h), which
-    is the block-ablation probe; the default runs the intact model.
+    is the block-ablation probe; the default runs the intact model. The
+    arrays are checked here, once (:func:`check_run_inputs`).
     """
     cfg = model.config
-    x = np.asarray(x_init, dtype=np.float64)
-    if x.shape != (cfg.image_tokens, cfg.hidden_dim):
-        raise ValueError(
-            f"x_init shape {x.shape} != ({cfg.image_tokens}, {cfg.hidden_dim})"
-        )
+    x, text_embed = check_run_inputs(model, x_init, text_embed)
     for b in pruned_blocks:
         if not 0 <= b < cfg.num_blocks:
             raise ValueError(f"pruned block {b} out of range")

@@ -38,6 +38,15 @@ the arithmetic at this lab's small shapes, are skipped. The same code works
 in place to save temporaries, under one rule: a function writes only to
 arrays it allocated itself (or got fresh from :func:`matmul`), never to an
 argument, because callers pass cache entries' arrays back in as inputs.
+
+The kernels here (:func:`matmul`, :func:`matmul_nt`, :func:`softmax_rows`)
+do not validate their inputs, and neither do the per-block steps built on
+them in :mod:`corgi.model` and :mod:`corgi.runtime`.
+:func:`corgi.runtime.run_with_policy` and :func:`corgi.model.run_reference`
+check a run's arrays once, at entry, and every other array of the run is
+computed from those; a check per kernel call would repeat that work once
+per head per block per step. Called directly on a non-finite input, a
+kernel returns non-finite entries, as numpy would.
 """
 
 from __future__ import annotations
@@ -162,15 +171,22 @@ def matmul_nt(a: Matrix, b: Matrix) -> Matrix:
 
 
 def softmax_rows(m: Matrix) -> Matrix:
-    """Row-wise exp-normalization with max subtraction for stability."""
-    a = ensure_matrix(m, "softmax input")
-    e = a - np.maximum.reduce(a, axis=1, keepdims=True)
+    """Row-wise exp-normalization with max subtraction for stability.
+
+    ``m`` must be a 2-D float64 array; it is not checked (see the module
+    docstring), and a non-finite entry gives a non-finite row.
+    """
+    e = m - np.maximum.reduce(m, axis=1, keepdims=True)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=1, keepdims=True)
     return e
 
 
 def frobenius_norm(m: Matrix) -> float:
-    """Square root of the sum of squared entries."""
-    a = ensure_matrix(m, "norm input")
-    return math.sqrt(np.add.reduce(a * a, axis=None))
+    """Square root of the sum of squared entries; ValueError if that sum is
+    not finite (a non-finite entry, or squares that overflow)."""
+    with np.errstate(over="ignore"):
+        total = float(np.add.reduce(m * m, axis=None))
+    if not math.isfinite(total):
+        raise ValueError("norm input contains non-finite entries")
+    return math.sqrt(total)

@@ -46,23 +46,24 @@ from .model import (
     Model,
     attention_rows,
     block_forward,
+    check_run_inputs,
     denoise_step_mean,
     initial_hidden,
     predict_noise,
     state_checksum,
 )
-from .policy import RESIDUAL_CHOICES, CorgiConfig, make_schedule
+from .policy import CorgiConfig, make_schedule
 from .saliency import SalientTokenSet, salient_rows
 
 
 def execute_block_cached(
     h: Matrix, block: Block, entry: BlockOutputs, strategy: str
 ) -> BlockOutputs:
-    """Run one cached block; the cross map is echoed stale from the entry."""
-    if h.shape != entry.block_out.shape:
-        raise ValueError("hidden state shape does not match cache entry")
-    if strategy not in RESIDUAL_CHOICES:
-        raise ValueError(f"residual must be one of {RESIDUAL_CHOICES}, got {strategy!r}")
+    """Run one cached block; the cross map is echoed stale from the entry.
+
+    Unchecked: the engine passes an L x d state and a strategy that
+    :meth:`CorgiConfig.resolved` validated.
+    """
     out = entry.block_out if strategy == "reuse" else (h + entry.attn_out) + entry.ffn_out
     return BlockOutputs(
         attn_out=entry.attn_out,
@@ -77,7 +78,8 @@ def partial_attention(block: Block, h: Matrix, s: SalientTokenSet, text_tokens: 
 
     Keys/values come from the full current hidden state; only queries, scores
     and the output projection are restricted, so each returned row is
-    bit-equal to the same row of a full attention evaluation.
+    bit-equal to the same row of a full attention evaluation. h is not
+    checked: non-finite rows of h propagate into non-finite output rows.
     """
     rows = salient_rows(s, text_tokens)
     if rows.size == 0:
@@ -282,14 +284,11 @@ def run_with_policy(
     computation. Cached blocks run through :func:`execute_block_corgi_plus`
     when the schedule carries a salient refresh, else through
     :func:`execute_block_cached` with the configured residual strategy.
+    The config and the arrays are checked here, once, before step 0.
     """
     mc = model.config
     rcfg = config.resolved(mc.total_steps, mc.num_blocks, mc.text_tokens)
-    x = np.asarray(x_init, dtype=np.float64)
-    if x.shape != (mc.image_tokens, mc.hidden_dim):
-        raise ValueError(
-            f"x_init shape {x.shape} != ({mc.image_tokens}, {mc.hidden_dim})"
-        )
+    x, text_embed = check_run_inputs(model, x_init, text_embed)
 
     schedule = make_schedule(rcfg, mc)
     cache: list[BlockOutputs | None] = [None] * mc.num_blocks

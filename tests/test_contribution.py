@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from corgi import SeededRng, cka, contribution_scores, rank_ascending
+from corgi import SeededRng, cka
+from corgi.contribution import contribution_scores, rank_ascending
 
 
 def straight_line_similarity(x, y):
@@ -39,6 +40,15 @@ def test_gram_matrix_overflow_rejected():
     # on each Gram matrix is what raises
     x = np.full((2, 2), 1e200)
     with np.errstate(over="ignore"), pytest.raises(ValueError):
+        cka(x, 0.5 * x)
+
+
+def test_squared_gram_overflow_rejected():
+    # x.T @ x is finite (entries 2e160) but its squared sum is not; the true
+    # similarity of x and 0.5 * x is 1, and the 0.0 this used to return would
+    # rank the block as changed as much as a block can be
+    x = np.full((2, 2), 1e80)
+    with pytest.raises(ValueError, match="non-finite"):
         cka(x, 0.5 * x)
 
 

@@ -1,12 +1,12 @@
 import pytest
 
-from corgi import flops_block
 from corgi.cost import (
     MODE_CACHED,
     MODE_CACHED_PARTIAL,
     MODE_FULL,
     build_cost_report,
     flops_attn_full,
+    flops_block,
     flops_ffn_full,
 )
 

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from corgi import (
-    ModelConfig,
-    SeededRng,
-    build_model,
-    build_schedule,
-    block_forward,
-    denoise_step_mean,
-    run_reference,
-)
-from corgi.model import Block, attention_rows
+from corgi import ModelConfig, SeededRng, build_model, block_forward, run_reference
+from corgi.model import Block, attention_rows, build_schedule, denoise_step_mean
 
 from helpers import toy_setup
 

@@ -7,14 +7,13 @@ from corgi import (
     CorgiConfig,
     PolicyKind,
     SeededRng,
-    baseline_directives,
     block_forward,
     cached_count,
-    contribution_scores,
     plan_steps,
     run_with_policy,
-    select_cached,
 )
+from corgi.contribution import contribution_scores
+from corgi.policy import baseline_directives, select_cached
 from helpers import toy_setup
 
 

@@ -15,11 +15,10 @@ from corgi import (
     kmeans_1d_two,
     run_reference,
     run_with_policy,
-    softmax_rows,
 )
 from corgi.analysis import _row_cosines
 from corgi.model import _gelu, _layernorm
-from corgi.numerics import matmul, matmul_nt
+from corgi.numerics import matmul, matmul_nt, softmax_rows
 from corgi.saliency import KMeansResult
 
 from helpers import bit_identical_to_reference, toy_setup

@@ -9,15 +9,11 @@ import inspect
 import corgi
 
 EXPORTS = {
-    "BlockOutputs", "CorgiConfig", "ModelConfig", "PolicyKind", "SalientTokenSet",
-    "SeededRng", "Trace",
-    "adjacent_step_cka", "analyze_model", "baseline_directives", "block_ablation",
-    "block_forward", "build_mask", "build_model", "build_schedule", "cached_count",
-    "cka", "contribution_scores", "cost_report", "denoise_step_mean", "derive_seed",
-    "divergence", "execute_block_cached", "execute_block_corgi_plus", "flops_block",
-    "frobenius_norm", "identify_salient", "kmeans_1d_two", "masked_merge",
-    "partial_attention", "plan_steps", "rank_ascending", "run_reference",
-    "run_with_policy", "saliency_scores", "select_cached", "softmax_rows", "top_c_text",
+    "CorgiConfig", "ModelConfig", "PolicyKind", "SalientTokenSet", "SeededRng", "Trace",
+    "adjacent_step_cka", "analyze_model", "block_ablation", "block_forward", "build_model",
+    "cached_count", "cka", "cost_report",
+    "derive_seed", "divergence", "identify_salient", "kmeans_1d_two", "masked_merge",
+    "partial_attention", "plan_steps", "run_reference", "run_with_policy",
 }
 
 

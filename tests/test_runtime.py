@@ -1,28 +1,30 @@
 import base64
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from corgi import (
-    BlockOutputs,
     CorgiConfig,
     PolicyKind,
     SalientTokenSet,
     SeededRng,
     Trace,
-    build_mask,
+    analyze_model,
     block_forward,
-    execute_block_cached,
-    execute_block_corgi_plus,
-    flops_block,
     masked_merge,
     partial_attention,
     run_reference,
     run_with_policy,
-    softmax_rows,
 )
-from corgi.model import Block, attention_rows, ffn_forward
+from corgi.contribution import rank_ascending
+from corgi.cost import flops_block
+from corgi.model import Block, BlockOutputs, attention_rows, ffn_forward
+from corgi.numerics import softmax_rows
+from corgi.policy import select_cached
+from corgi.runtime import execute_block_cached, execute_block_corgi_plus
+from corgi.saliency import build_mask
 from helpers import bit_identical_to_reference, toy_setup
 
 
@@ -240,8 +242,6 @@ def test_intra_caches_lowest_contribution_prefix():
     trace = run_with_policy(model, x, None, cfg)
     boundary_scores = {c["step"]: c["scores"] for c in trace.contributions}
     assert set(boundary_scores) == {2, 7}
-    from corgi import rank_ascending, select_cached
-
     ranking = rank_ascending(boundary_scores[2])
     intra1 = trace.steps[3]
     assert set(intra1.cached) == select_cached(ranking, 3)
@@ -381,6 +381,55 @@ def test_model_config_mismatch_rejected_before_step_zero():
         run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.CORGI, gamma=99))
     with pytest.raises(ValueError, match="x_init"):
         run_with_policy(model, x[:3], None, CorgiConfig())
+
+
+_ENTRY_POINTS = {
+    "run_with_policy": lambda model, x, text: run_with_policy(model, x, text, CorgiConfig()),
+    "run_reference": run_reference,
+    "analyze_model": analyze_model,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("defect", ["nan-x_init", "inf-x_init", "2row-text_embed", "nan-text_embed"])
+def test_run_entry_points_reject_bad_arrays_by_name(entry, defect):
+    # the kernels below the entry points do not check their inputs, so a bad
+    # array has to be stopped here, before the first block
+    model, x = toy_setup(13)
+    x, text = x.copy(), model.text_embed.copy()
+    if defect == "nan-x_init":
+        x[2, 3] = np.nan
+    elif defect == "inf-x_init":
+        x[0, 0] = -np.inf
+    elif defect == "2row-text_embed":
+        text = text[:2]
+    else:
+        text[1, 0] = np.nan
+    with pytest.raises(ValueError, match=defect.split("-")[-1]):
+        _ENTRY_POINTS[entry](model, x, text)
+
+
+def test_a_run_checks_its_arrays_a_fixed_number_of_times(monkeypatch):
+    # arrays are checked at the entry point, not per block, head or step
+    import corgi.numerics as numerics
+
+    real, calls = numerics.ensure_matrix, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "corgi" and getattr(module, "ensure_matrix", None) is real:
+            monkeypatch.setattr(module, "ensure_matrix", counting)
+    counts = []
+    for shape in ({"num_blocks": 2, "num_heads": 1, "total_steps": 3},
+                  {"num_blocks": 5, "num_heads": 4, "total_steps": 7}):
+        model, x = toy_setup(14, **shape)
+        calls.clear()
+        run_reference(model, x)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_executed_macs_match_the_cost_model(monkeypatch):

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from corgi import (
-    SalientTokenSet,
-    SeededRng,
-    build_mask,
-    identify_salient,
-    kmeans_1d_two,
-    saliency_scores,
-    top_c_text,
-)
+from corgi import SalientTokenSet, SeededRng, identify_salient, kmeans_1d_two
+from corgi.saliency import build_mask, saliency_scores, top_c_text
 
 
 def test_scores_are_column_maxima():
