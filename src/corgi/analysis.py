@@ -16,6 +16,13 @@ C-contiguous first because ``ddot`` sums a unit-stride vector in a different
 order than a strided one; the scalar formula always saw unit-stride rows. A
 sum reordered by ``einsum``, ``(a * b).sum(axis=1)`` or
 ``np.linalg.norm(..., axis=1)`` would move the low-order bits of the maps.
+
+That equality holds under OpenBLAS's SkylakeX, Haswell and Sandybridge
+kernels; CI checks the last two besides the runner's native one. It fails
+under the Prescott kernel (``OPENBLAS_CORETYPE=Prescott``, which reports
+itself as ``Katmai``), where
+``test_row_cosines_are_bit_equal_to_the_scalar_formula`` fails, so CI leaves
+that kernel out.
 """
 
 from __future__ import annotations

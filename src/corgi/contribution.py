@@ -35,13 +35,16 @@ def cka(x: Matrix, y: Matrix) -> float:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     if (x == y).all():  # equal values; covers the both-zero case too
         return 1.0
-    nx = frobenius_norm(x.T @ x)
-    ny = frobenius_norm(y.T @ y)
+    # an overflowed Gram product is left to frobenius_norm's ValueError
+    # rather than surfacing first as a RuntimeWarning
+    with np.errstate(over="ignore"):
+        nx = frobenius_norm(x.T @ x)
+        ny = frobenius_norm(y.T @ y)
+        g = y.T @ x
     if nx == 0.0 and ny == 0.0:
         return 1.0
     if nx == 0.0 or ny == 0.0:
         return 0.0
-    g = y.T @ x
     numerator = float(np.add.reduce(g * g, axis=None))
     return min(1.0, max(0.0, numerator / (nx * ny)))
 

@@ -11,6 +11,12 @@ pre-normalization living *inside* the ATTN/FFN terms so the three addends are
 exactly the quantities the caching engine stores and reuses. A full-compute
 run (:func:`run_reference`) is the oracle every cached run is compared to.
 
+:func:`attention_rows` returns each head's attention probabilities, as one
+heads x rows x seq array. The head-averaged map exists only as the
+image-query x text-key slice that :func:`block_forward` keeps as
+``cross_map``, the one part of it that CorGi+'s salient-token pick reads; the
+full L x L average is never formed.
+
 The layernorm, GELU and residual sums are written as one ufunc or
 ``np.add.reduce`` call per step, in the textbook formula's order, so they
 are bit-equal to the ``np.mean``/``np.var`` formulas at a fraction of the
@@ -225,31 +231,40 @@ def attention_rows(block: Block, h: Matrix, rows: np.ndarray | None = None) -> t
     computed with it. The returned rows are therefore bit-equal to the
     corresponding rows of the full computation.
 
-    Returns (attn_rows, joint_attention_rows) with joint_attention averaged
-    over heads.
+    The projections run as one call with the weights stacked as batch items
+    (Q, K and V on the full path, K and V on the restricted one), and all
+    heads' scores, softmax and apply as one head-batched call each. A batch
+    item is the very gemm a lone product would run, so no bit moves. A fused
+    ``x @ [wq|wk|wv]`` would not do: under OpenBLAS's SkylakeX kernel its
+    column blocks differ from the lone products in the low bits at every
+    hidden_dim from 17 to 64 that is not 0 or 7 mod 8.
+
+    Returns (attn_rows, probs): probs is heads x rows x seq, each head's
+    attention probabilities.
     """
     x = _layernorm(h, block.attn_gain, block.attn_bias)
-    xq = x if rows is None else x[rows]
-    k = matmul(x, block.wk)
-    v = matmul(x, block.wv)
-    q = matmul(xq, block.wq)
-
     seq, d = h.shape
     heads = block.num_heads
     dh = d // heads
-    inv_sqrt_dh = 1.0 / math.sqrt(dh)
+    if rows is None:
+        q, k, v = matmul(x, np.array((block.wq, block.wk, block.wv)))
+    else:
+        k, v = matmul(x, np.array((block.wk, block.wv)))
+        q = matmul(x[rows], block.wq)
+    n = q.shape[0]
+    # heads x tokens x dh views of the projections
+    q = q.reshape(n, heads, dh).transpose(1, 0, 2)
+    k = k.reshape(seq, heads, dh).transpose(1, 0, 2)
+    v = v.reshape(seq, heads, dh).transpose(1, 0, 2)
 
-    head_outs = np.empty((q.shape[0], d))
-    joint = np.zeros((q.shape[0], seq))
-    for i in range(heads):
-        sl = slice(i * dh, (i + 1) * dh)
-        logits = matmul_nt(q[:, sl], k[:, sl])
-        logits *= inv_sqrt_dh
-        probs = softmax_rows(logits)
-        head_outs[:, sl] = matmul(probs, v[:, sl])
-        joint += probs
-    joint /= heads
-    return matmul(head_outs, block.wo), joint
+    logits = matmul_nt(q, k)
+    logits *= 1.0 / math.sqrt(dh)
+    # in place: a second heads x n x seq buffer costs more in page faults
+    # than the softmax costs in arithmetic
+    logits = logits.reshape(heads * n, seq)
+    probs = softmax_rows(logits, out=logits).reshape(heads, n, seq)
+    head_outs = matmul(probs, v).transpose(1, 0, 2).reshape(n, d)
+    return matmul(head_outs, block.wo), probs
 
 
 def ffn_forward(block: Block, z: Matrix) -> Matrix:
@@ -267,17 +282,18 @@ def block_forward(block: Block, h: Matrix, text_tokens: int) -> BlockOutputs:
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != block.wq.shape[0]:
         raise ValueError(f"hidden state shape {h.shape} does not match block")
-    attn_out, joint = attention_rows(block, h)
+    attn_out, probs = attention_rows(block, h)
+    # the head average of the image x text slice, summed head by head from 0
+    # (np.add.reduce sums a lone cell's heads pairwise) into a fresh array
+    cross_map = sum(probs[:, text_tokens:, :text_tokens]) / block.num_heads
+    # freed before the FFN allocates: kept alive under the FFN's temporaries,
+    # the heads x L x L array made glibc trim and regrow the heap every block
+    # (about 10x the page faults of a run_reference at ablate_small's shape)
+    del probs
     block_out = h + attn_out  # the post-attention state, then the output
     ffn_out = ffn_forward(block, block_out)
     block_out += ffn_out
-    return BlockOutputs(
-        attn_out=attn_out,
-        ffn_out=ffn_out,
-        block_out=block_out,
-        # a copy, so that no cache entry keeps the L x L map alive as its base
-        cross_map=joint[text_tokens:, :text_tokens].copy(),
-    )
+    return BlockOutputs(attn_out=attn_out, ffn_out=ffn_out, block_out=block_out, cross_map=cross_map)
 
 
 def denoise_step_mean(x_t: Matrix, eps: Matrix, t: int, schedule: NoiseSchedule) -> Matrix:

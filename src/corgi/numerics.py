@@ -28,6 +28,24 @@ and at two; ``tests/test_properties.py`` checks the row property over random
 shapes and row subsets, and ``tests/test_cli.py`` checks that a trace does
 not depend on the BLAS thread count.
 
+Leading axes of ``A`` and ``B`` are batch axes, broadcast as by
+``np.matmul``: the attention projects Q, K and V with the three weights
+stacked as one ``B``, and runs every head's scores and apply as one call.
+Each batch item is tiled on its own, so an item comes out bit-equal to the
+2-D product of its operands. That holds only while numpy hands every
+``(_TILE, k) @ (k, m)`` item to BLAS, which it does when the item is
+BLAS-compatible: unit stride along one axis of each operand, and the other
+stride at least that axis's length. Otherwise numpy sums the item in its own
+loop, in a different order. The tiles are always C-contiguous, and the
+weights and the head views of a projection (a column slice of a
+C-contiguous array) meet that rule.
+
+``A`` is not copied when it is C-contiguous, has a multiple of ``_TILE``
+rows and shares no memory with ``B``: its rows then already are the tiles.
+The memory check is the syrk guard. Given ``matmul_nt(A, A)``, numpy would
+see one matrix times its own transpose and run syrk, which computes the rows
+of a tile unlike gemm; a copy makes the two operands distinct.
+
 The hot paths here and in :mod:`corgi.model`, :mod:`corgi.saliency` and
 :mod:`corgi.contribution` spell their reductions as ``np.add.reduce`` /
 ``np.maximum.reduce`` calls. ``np.sum``, ``np.max``, ``np.mean`` and
@@ -151,32 +169,40 @@ _TILE = 8
 
 
 def _row_tiled(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b as a stack of fixed (_TILE, k) @ (k, m) gemms (see module docstring)."""
-    n, k = a.shape
-    # always a fresh buffer: given a view of b's own memory, numpy would run
-    # a @ a.T through syrk, which computes the rows of an 8-row tile unlike gemm
-    tiles = np.zeros((n + -n % _TILE, k))
-    tiles[:n] = a
-    return np.matmul(tiles.reshape(-1, _TILE, k), b).reshape(-1, b.shape[1])[:n]
+    """a @ b as a stack of fixed (_TILE, k) @ (k, m) gemms over any leading
+    batch axes; a is copied only when it cannot be tiled in place (see the
+    module docstring)."""
+    *lead, n, k = a.shape
+    pad = -n % _TILE
+    if pad or not a.flags.c_contiguous or np.may_share_memory(a, b):
+        tiles = np.zeros((*lead, n + pad, k))
+        tiles[..., :n, :] = a
+    else:
+        tiles = a
+    if b.ndim > 2:
+        b = b[..., None, :, :]  # one b per batch item, shared by its tiles
+    out = np.matmul(tiles.reshape(*lead, -1, _TILE, k), b)
+    return out.reshape(*out.shape[:-3], -1, out.shape[-1])[..., :n, :]
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b, row-stable (see module docstring)."""
+    """a @ b over the last two axes, row-stable (see module docstring)."""
     return _row_tiled(a, b)
 
 
 def matmul_nt(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b.T, row-stable; used for attention scores."""
-    return _row_tiled(a, b.T)
+    """a @ b.T over the last two axes, row-stable; used for attention scores."""
+    return _row_tiled(a, b.swapaxes(-1, -2))
 
 
-def softmax_rows(m: Matrix) -> Matrix:
+def softmax_rows(m: Matrix, out: Matrix | None = None) -> Matrix:
     """Row-wise exp-normalization with max subtraction for stability.
 
     ``m`` must be a 2-D float64 array; it is not checked (see the module
-    docstring), and a non-finite entry gives a non-finite row.
+    docstring), and a non-finite entry gives a non-finite row. The result
+    goes to ``out`` when given (``m`` itself, for a caller that owns it).
     """
-    e = m - np.maximum.reduce(m, axis=1, keepdims=True)
+    e = np.subtract(m, np.maximum.reduce(m, axis=1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=1, keepdims=True)
     return e

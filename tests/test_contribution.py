@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,16 @@ def test_gram_matrix_overflow_rejected():
     x = np.full((2, 2), 1e200)
     with np.errstate(over="ignore"), pytest.raises(ValueError):
         cka(x, 0.5 * x)
+
+
+def test_gram_matrix_overflow_raises_the_documented_error():
+    # with no errstate around the call, numpy's overflow warning must not
+    # reach the caller in place of the ValueError, even as an error
+    x = np.full((2, 2), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="non-finite"):
+            cka(x, 0.5 * x)
 
 
 def test_squared_gram_overflow_rejected():

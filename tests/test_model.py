@@ -124,7 +124,7 @@ def test_block_forward_matches_hand_evaluation():
     assert outs.attn_out[0, 0] == pytest.approx(attn, rel=1e-12)
     assert outs.ffn_out[0, 0] == pytest.approx(ffn, rel=1e-12)
     assert outs.block_out[0, 0] == pytest.approx(h + attn + ffn, rel=1e-12)
-    assert np.array_equal(attention_rows(blk, np.array([[h]]))[1], [[1.0]])
+    assert np.array_equal(attention_rows(blk, np.array([[h]]))[1], [[[1.0]]])
 
 
 def test_block_decomposition_is_exact():
@@ -137,12 +137,19 @@ def test_block_decomposition_is_exact():
 def test_joint_attention_rows_and_cross_map():
     model, x = toy_setup(2, num_blocks=1)
     cfg = model.config
+    blk = model.blocks[0]
     h = np.concatenate([model.text_embed, x], axis=0)
-    outs = block_forward(model.blocks[0], h, cfg.text_tokens)
-    joint = attention_rows(model.blocks[0], h)[1]
-    assert np.abs(joint.sum(axis=1) - 1.0).max() < 1e-9
-    sub = joint[cfg.text_tokens :, : cfg.text_tokens]
-    assert np.array_equal(outs.cross_map, sub)
+    outs = block_forward(blk, h, cfg.text_tokens)
+    probs = attention_rows(blk, h)[1]
+    assert probs.shape == (cfg.num_heads, cfg.seq_len, cfg.seq_len)
+    assert np.abs(probs.sum(axis=2) - 1.0).max() < 1e-9
+    # the cross map is the image x text slice of the head average, summed
+    # head by head from zero as a per-head loop would
+    joint = np.zeros((cfg.seq_len, cfg.seq_len))
+    for p in probs:
+        joint += p
+    joint /= cfg.num_heads
+    assert np.array_equal(outs.cross_map, joint[cfg.text_tokens :, : cfg.text_tokens])
     assert np.all(outs.cross_map.sum(axis=1) <= 1.0 + 1e-12)
 
 
@@ -152,8 +159,11 @@ def test_uniform_heads_average_to_single_head():
     blk = _toy_block(d=8, heads=4)
     blk.wq = np.zeros_like(blk.wq)
     blk.wk = np.zeros_like(blk.wk)
-    joint = attention_rows(blk, SeededRng(9).standard_normal(5, 8))[1]
-    assert np.allclose(joint, 1.0 / 5.0, atol=1e-15)
+    h = SeededRng(9).standard_normal(5, 8)
+    probs = attention_rows(blk, h)[1]
+    assert probs.shape == (4, 5, 5)
+    assert np.allclose(probs, 1.0 / 5.0, atol=1e-15)
+    assert np.allclose(block_forward(blk, h, text_tokens=2).cross_map, 1.0 / 5.0, atol=1e-15)
 
 
 def test_denoise_zero_eps():

@@ -1,5 +1,6 @@
 """Bit-exactness invariants over random tiny configurations."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,8 @@ from corgi import (
     run_with_policy,
 )
 from corgi.analysis import _row_cosines
-from corgi.model import _gelu, _layernorm
-from corgi.numerics import matmul, matmul_nt, softmax_rows
+from corgi.model import _gelu, _layernorm, attention_rows, block_forward
+from corgi.numerics import _row_tiled, matmul, matmul_nt, softmax_rows
 from corgi.saliency import KMeansResult
 
 from helpers import bit_identical_to_reference, toy_setup
@@ -135,6 +136,134 @@ def test_row_subset_products_are_bit_equal_to_rows_of_the_full_product(operands)
     assert np.array_equal(matmul_nt(a[rows], a), matmul_nt(a, a)[rows])
 
 
+def _padded_product(a, b):
+    """a @ b as a stack of (8, k) @ (k, m) gemms on a fresh zero-padded copy
+    of a, tile by tile: what _row_tiled computes when it copies a."""
+    *lead, n, k = a.shape
+    tiles = np.zeros((*lead, n + -n % 8, k))
+    tiles[..., :n, :] = a
+    out = np.empty((*lead, tiles.shape[-2], b.shape[-1]))
+    for i in range(0, tiles.shape[-2], 8):
+        out[..., i : i + 8, :] = np.matmul(tiles[..., i : i + 8, :], b)
+    return out[..., :n, :]
+
+
+@st.composite
+def aligned_products(draw):
+    """An operand a with a multiple of 8 rows and optional batch axes, laid
+    out as a fresh array, as a C-contiguous view into a larger one, or as
+    sharing memory with b (b = a's own transpose)."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    n, k, m = 8 * draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = SeededRng(draw(st.integers(min_value=0, max_value=2**64 - 1)))
+    layout = draw(st.sampled_from(["fresh", "view", "shared"]))
+    batch = math.prod(lead)
+    if layout == "shared":
+        a = rng.standard_normal(batch * n, k).reshape(*lead, n, k)
+        return a, a.swapaxes(-1, -2)
+    big = rng.standard_normal(batch * (n + 16), k).reshape(*lead, n + 16, k)
+    a = big[..., 8 : 8 + n, :] if layout == "view" and not lead else np.ascontiguousarray(big[..., :n, :])
+    b_lead = lead if draw(st.booleans()) else ()
+    return a, rng.standard_normal(math.prod(b_lead) * k, m).reshape(*b_lead, k, m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(aligned_products())
+@example((np.ones((8, 3)), np.ones((3, 2))))
+def test_uncopied_tiles_are_bit_equal_to_padded_tiles(operands):
+    # _row_tiled multiplies a's own memory when a is C-contiguous with a
+    # multiple of 8 rows; that must give the padded copy's bits, and an a that
+    # shares b's memory must still be copied (numpy would run syrk on it)
+    a, b = operands
+    assert a.flags.c_contiguous and a.shape[-2] % 8 == 0
+    assert np.array_equal(_row_tiled(a, b), _padded_product(a, b))
+
+
+@st.composite
+def stacked_projections(draw):
+    n = draw(st.one_of(st.integers(1, 8), st.integers(9, 80)))
+    d = draw(st.integers(1, 48))
+    rng = SeededRng(draw(st.integers(min_value=0, max_value=2**64 - 1)))
+    return rng.standard_normal(n, d), [rng.standard_normal(d, d) for _ in range(3)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(stacked_projections())
+@example((SeededRng(2).standard_normal(1, 21), [SeededRng(i).standard_normal(21, 21) for i in range(3)]))
+def test_stacked_projections_are_bit_equal_to_lone_products(operands):
+    # attention projects Q, K and V in one call with the weights stacked as
+    # batch items, so each item must be bit-equal to the product with that
+    # weight alone; the example is a width (21) at which the column blocks of
+    # a fused x @ [wq|wk|wv] are not, under OpenBLAS's SkylakeX kernel
+    x, ws = operands
+    alone = [matmul(x, w) for w in ws]
+    assert all(np.array_equal(p, q) for p, q in zip(matmul(x, np.stack(ws)), alone))
+    assert all(np.array_equal(p, q) for p, q in zip(matmul(x, np.stack(ws[1:])), alone[1:]))
+
+
+def _per_head_attention(block, h, rows):
+    """Straight-line attention, one head at a time with 2-D products:
+    (attn_rows, probs) as attention_rows must return them."""
+    x = _layernorm(h, block.attn_gain, block.attn_bias)
+    q = matmul(x if rows is None else x[rows], block.wq)
+    k = matmul(x, block.wk)
+    v = matmul(x, block.wv)
+    dh = h.shape[1] // block.num_heads
+    outs, probs = [], []
+    for i in range(block.num_heads):
+        sl = slice(i * dh, (i + 1) * dh)
+        logits = matmul_nt(q[:, sl], k[:, sl])
+        logits *= 1.0 / math.sqrt(dh)
+        probs.append(softmax_rows(logits))
+        outs.append(matmul(probs[-1], v[:, sl]))
+    return matmul(np.concatenate(outs, axis=1), block.wo), np.stack(probs)
+
+
+@st.composite
+def attention_inputs(draw):
+    """A block, its hidden state (C-ordered, strided or read-only) and a
+    sorted subset of query rows; seq lengths aligned to 8 and not."""
+    heads, dh = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    seq = draw(st.one_of(st.sampled_from([8, 16, 24, 32]), st.integers(2, 40)))
+    text = draw(st.integers(1, seq - 1))
+    model, _ = toy_setup(
+        draw(st.integers(min_value=0, max_value=2**64 - 1)), num_blocks=1,
+        hidden_dim=heads * dh, num_heads=heads, text_tokens=text, image_tokens=seq - text,
+    )
+    h = SeededRng(draw(st.integers(0, 2**32))).standard_normal(seq, heads * dh)
+    layout = draw(st.sampled_from(["c", "strided", "read_only"]))
+    if layout == "strided":
+        wide = np.zeros((seq, 2 * heads * dh))
+        wide[:, ::2] = h
+        h = wide[:, ::2]
+    elif layout == "read_only":
+        h.setflags(write=False)
+    rows = draw(st.lists(st.integers(0, seq - 1), min_size=1, unique=True))
+    return model.blocks[0], h, text, np.array(sorted(rows), dtype=np.intp)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(attention_inputs())
+@example((toy_setup(5, num_blocks=1, num_heads=8, text_tokens=1, image_tokens=1)[0].blocks[0],
+          SeededRng(5).standard_normal(2, 32), 1, np.array([1])))
+def test_head_batched_attention_is_bit_equal_to_a_per_head_loop(inputs):
+    # the last example has one image and one text token at 8 heads: a cross
+    # map of one cell, whose head sum np.add.reduce would order pairwise
+    block, h, text, rows = inputs
+    out, probs = attention_rows(block, h)
+    want_out, want_probs = _per_head_attention(block, h, None)
+    assert np.array_equal(out, want_out) and np.array_equal(probs, want_probs)
+    part, part_probs = attention_rows(block, h, rows)
+    want_part, want_part_probs = _per_head_attention(block, h, rows)
+    assert np.array_equal(part, want_part) and np.array_equal(part_probs, want_part_probs)
+    assert np.array_equal(part, out[rows])
+    joint = 0
+    for p in want_probs:
+        joint = joint + p
+    cross = (joint / block.num_heads)[text:, :text]
+    assert np.array_equal(block_forward(block, h, text).cross_map, cross)
+
+
 # Textbook forms of the hot-path helpers, as np.mean/np.var/np.max/np.sum
 # formulas; the helpers spell the same reductions as direct ufunc calls and
 # must agree with these bit for bit.
@@ -205,6 +334,8 @@ def test_hot_path_helpers_are_bit_equal_to_their_textbook_formulas(operands):
         assert _same_bits(_layernorm(x, gain, bias), _textbook_layernorm(x, gain, bias))
         assert _same_bits(_gelu(x), _textbook_gelu(x))
         assert _same_bits(softmax_rows(x), _textbook_softmax(x))
+        y = x.copy()
+        assert _same_bits(softmax_rows(y, out=y), _textbook_softmax(x))
         assert kmeans_1d_two(column) == _textbook_kmeans(column)
 
 

@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import sys
 
 import numpy as np
@@ -443,12 +444,17 @@ def test_executed_macs_match_the_cost_model(monkeypatch):
     macs = []
     matmul, matmul_nt = model_module.matmul, model_module.matmul_nt
 
+    # leading axes are batch axes, broadcast between a and b: every row of a,
+    # in every batch item, is one k-long dot product per output column
+    def batch(a, b):
+        return math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+
     def counting_matmul(a, b):
-        macs.append(a.shape[0] * a.shape[1] * b.shape[1])
+        macs.append(batch(a, b) * a.shape[-2] * a.shape[-1] * b.shape[-1])
         return matmul(a, b)
 
     def counting_matmul_nt(a, b):
-        macs.append(a.shape[0] * a.shape[1] * b.shape[0])
+        macs.append(batch(a, b) * a.shape[-2] * a.shape[-1] * b.shape[-2])
         return matmul_nt(a, b)
 
     monkeypatch.setattr(model_module, "matmul", counting_matmul)
