@@ -7,8 +7,11 @@ analytic MAC cost model.
 
 The package exports the entry points and the types they take and return.
 Kernels and helpers are imported from their modules (``corgi.numerics``,
-``corgi.model`` and so on); they do not re-check their inputs, because
-:func:`run_with_policy` and :func:`run_reference` check a run's arrays once.
+``corgi.model`` and so on). They do not re-check their inputs, because
+:func:`run_with_policy` and :func:`run_reference` check a run's config and
+arrays once and :func:`build_model` checks the model's dimensions; each
+helper's docstring states what its callers guarantee. The checks that still
+run inside a run are listed in :mod:`corgi.numerics`.
 """
 
 from .analysis import (

@@ -92,11 +92,12 @@ class NoiseSchedule:
 
 
 def build_schedule(total_steps: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
-    """Linear beta schedule over total_steps with exact alpha products."""
-    if total_steps < 1:
-        raise ValueError("total_steps must be >= 1")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError("need 0 < beta_start <= beta_end < 1")
+    """Linear beta schedule over total_steps with exact alpha products.
+
+    Unchecked: the one caller, :func:`build_model`, passes the default betas
+    (0 < beta_start <= beta_end < 1) and a step count that
+    :meth:`ModelConfig.validate` checked to be >= 1.
+    """
     betas = np.linspace(beta_start, beta_end, total_steps, dtype=np.float64)
     alphas = 1.0 - betas
     return NoiseSchedule(betas=betas, alphas=alphas, alpha_bars=np.cumprod(alphas))
@@ -300,13 +301,10 @@ def denoise_step_mean(x_t: Matrix, eps: Matrix, t: int, schedule: NoiseSchedule)
     """Posterior mean of the denoising step (variance term zeroed):
 
         x_{t-1} = (x_t - (1 - alpha_t)/sqrt(1 - alpha_bar_t) * eps) / sqrt(alpha_t)
+
+    Unchecked: the two denoising loops pass 1 <= t <= len(schedule) and
+    float64 arrays of one shape, the latent and its noise prediction.
     """
-    if not 1 <= t <= len(schedule):
-        raise ValueError(f"step {t} out of range 1..{len(schedule)}")
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if x_t.shape != eps.shape:
-        raise ValueError("x_t and eps shapes differ")
     alpha = schedule.alphas[t - 1]
     alpha_bar = schedule.alpha_bars[t - 1]
     return (x_t - (1.0 - alpha) / np.sqrt(1.0 - alpha_bar) * eps) / np.sqrt(alpha)
@@ -370,12 +368,15 @@ def run_reference(
     """Run the full denoising loop computing every block at every step.
 
     pruned_blocks replaces the named blocks with the identity (out = h), which
-    is the block-ablation probe; the default runs the intact model. The
+    is the block-ablation probe; the default runs the intact model. Its
+    indices must be Python or numpy integers (not bools) in range. The
     arrays are checked here, once (:func:`check_run_inputs`).
     """
     cfg = model.config
     x, text_embed = check_run_inputs(model, x_init, text_embed)
     for b in pruned_blocks:
+        if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
+            raise ValueError(f"pruned block {b!r} is not an integer")
         if not 0 <= b < cfg.num_blocks:
             raise ValueError(f"pruned block {b} out of range")
 

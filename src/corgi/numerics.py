@@ -59,12 +59,29 @@ argument, because callers pass cache entries' arrays back in as inputs.
 
 The kernels here (:func:`matmul`, :func:`matmul_nt`, :func:`softmax_rows`)
 do not validate their inputs, and neither do the per-block steps built on
-them in :mod:`corgi.model` and :mod:`corgi.runtime`.
+them in :mod:`corgi.model` and :mod:`corgi.runtime`, nor the non-exported
+helpers that the engine, the schedules and :func:`corgi.model.build_model`
+call (:func:`normal_stream` here, and ``build_schedule``,
+``denoise_step_mean``, ``select_cached``, ``baseline_directives``,
+``contribution_scores``, ``rank_ascending`` and ``build_mask``). Each
+helper's docstring states the precondition its callers guarantee.
 :func:`corgi.runtime.run_with_policy` and :func:`corgi.model.run_reference`
-check a run's arrays once, at entry, and every other array of the run is
-computed from those; a check per kernel call would repeat that work once
-per head per block per step. Called directly on a non-finite input, a
-kernel returns non-finite entries, as numpy would.
+check a run's config and arrays once, at entry, ``build_model`` checks the
+model's dimensions, and every other value of the run is computed from
+those; a check per call would repeat that work once per head, block, step
+or pick. Called directly on a non-finite input, a kernel returns non-finite
+entries, as numpy would.
+
+Four checks still run inside a run, all in exported functions whose errors
+tests pin: :func:`corgi.contribution.cka` checks both inputs at every
+scoring, :func:`corgi.saliency.identify_salient` its cross map at every
+pick, and :func:`corgi.model.block_forward` and
+:func:`corgi.runtime.masked_merge` their arrays at every block. The last
+three are also spans the benchmark expects to fire, so the engine cannot
+call an unchecked private core in their place until the benchmark names it
+(ROADMAP items 1 and 6); for ``cka`` such a core would add code for a
+per-scoring saving. The per-step finiteness check on the noise prediction
+is the engine's own guard, not an input check, and stays.
 """
 
 from __future__ import annotations
@@ -118,9 +135,9 @@ def normal_stream(seed: int, counter: int, n: int) -> np.ndarray:
     Counter words counter..counter+2*ceil(n/2)-1 are hashed to uniforms in
     (0, 1] and passed through the Box-Muller transform. The transform is
     fixed; the stream is bit-reproducible for a given (seed, counter).
+    Unchecked: n >= 1, because :meth:`SeededRng.standard_normal`, the one
+    caller, rejects an empty shape first.
     """
-    if n < 1:
-        raise ValueError("empty shape")
     pairs = (n + 1) // 2
     base = _stream_base(seed)
     idx = np.arange(counter, counter + 2 * pairs, dtype=np.uint64)

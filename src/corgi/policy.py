@@ -122,9 +122,9 @@ def select_cached(ranking: list[int], count: int) -> set[int]:
     """First `count` blocks of the ascending-contribution ranking.
 
     Prefixes nest: the gamma blocks stay cached as delta additions accrue.
+    Unchecked: count is at most len(ranking), because :func:`cached_count`
+    caps it at num_blocks and the ranking holds every block.
     """
-    if count > len(ranking):
-        raise ValueError(f"count {count} exceeds {len(ranking)} ranked blocks")
     return set(ranking[:count])
 
 
@@ -143,10 +143,12 @@ def baseline_directives(
     caller-supplied per-step ranking; parity caches one index parity; random
     draws a fresh seeded floor(B/2)-subset each step. Warm-up steps never
     cache.
+
+    Unchecked: :class:`BaselineSchedule` is the one caller. It passes a
+    baseline ``PolicyKind`` and a parity that :meth:`CorgiConfig.resolved`
+    checked, always passes its rng, and ranks the blocks before every
+    post-warm-up per_step_naive step.
     """
-    kind = PolicyKind(kind)
-    if parity not in PARITY_CHOICES:
-        raise ValueError(f"parity must be one of {PARITY_CHOICES}, got {parity!r}")
     if kind == PolicyKind.NONE or step < warmup:
         return set()
     half = num_blocks // 2
@@ -154,16 +156,10 @@ def baseline_directives(
         rem = PARITY_CHOICES.index(parity)
         return {b for b in range(num_blocks) if b % 2 == rem}
     if kind == PolicyKind.RANDOM:
-        if rng is None:
-            raise ValueError("random baseline needs a SeededRng")
         keys = rng.standard_normal(1, num_blocks)[0]
         order = sorted(range(num_blocks), key=lambda b: (keys[b], b))
         return set(order[:half])
-    if kind == PolicyKind.PER_STEP_NAIVE:
-        if ranking is None:
-            raise ValueError("per_step_naive needs a contribution ranking")
-        return set(ranking[:half])
-    raise ValueError(f"{kind} is not a baseline policy")
+    return set(ranking[:half])  # per_step_naive
 
 
 class IntervalSchedule:

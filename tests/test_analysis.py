@@ -95,6 +95,21 @@ def test_ablation_index_out_of_range():
         block_ablation(model, x, None, 2)
 
 
+def test_a_non_integer_pruned_index_is_rejected_by_name():
+    # 0.5 passes the range check and matches no block, so unrejected it runs
+    # the intact model and gives an ablation map of all ones; True would
+    # match block 1
+    model, x = toy_setup(5, num_blocks=2, total_steps=3, hidden_dim=16, ffn_dim=16, num_heads=2)
+    with pytest.raises(ValueError, match=r"pruned block 0\.5 is not an integer"):
+        run_reference(model, x, pruned_blocks={0.5})
+    with pytest.raises(ValueError, match=r"pruned block 0\.5 is not an integer"):
+        block_ablation(model, x, None, 0.5)
+    with pytest.raises(ValueError, match="pruned block True is not an integer"):
+        run_reference(model, x, pruned_blocks={True})
+    want = run_reference(model, x, pruned_blocks={1}).final_output
+    assert np.array_equal(run_reference(model, x, pruned_blocks={np.int64(1)}).final_output, want)
+
+
 def test_adjacent_cka_constant_preds():
     traj = ReferenceTrajectory()
     traj.noise_preds = [np.ones((3, 2))] * 4

@@ -111,11 +111,6 @@ def test_scores_match_straight_line_oracle():
         assert 0.0 <= scores[i] <= 1.0
 
 
-def test_scores_block_count_mismatch():
-    with pytest.raises(ValueError, match="block counts"):
-        contribution_scores([np.ones((2, 2))], [np.ones((2, 2))] * 2)
-
-
 def test_rank_ascending_basic():
     assert rank_ascending([0.3, 0.1, 0.2]) == [1, 2, 0]
     assert rank_ascending([0.5] * 4) == [0, 1, 2, 3]

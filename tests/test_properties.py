@@ -1,18 +1,26 @@
 """Bit-exactness invariants over random tiny configurations."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import corgi.model
+import corgi.numerics
+import corgi.policy
+import corgi.runtime
 from corgi import (
     CorgiConfig,
     PolicyKind,
     SeededRng,
     Trace,
+    analyze_model,
+    build_model,
     kmeans_1d_two,
     run_reference,
     run_with_policy,
@@ -102,6 +110,81 @@ def test_cost_never_increases_as_gamma_or_delta_grows(setup, interval):
         by_delta = [flops(policy, gamma=0, delta=d) for d in range(blocks + 1)]
         for series in (by_gamma, by_delta):
             assert all(b <= a for a, b in zip(series, series[1:])), series
+
+
+def _baseline_call_is_complete(kind, step, warmup, num_blocks, ranking=None, parity="even",
+                                rng=None):
+    if kind in (PolicyKind.CORGI, PolicyKind.CORGI_PLUS) or parity not in ("even", "odd"):
+        return False
+    if kind == PolicyKind.RANDOM:
+        return isinstance(rng, SeededRng)
+    return kind != PolicyKind.PER_STEP_NAIVE or step < warmup or ranking is not None
+
+
+def _mask_call_in_range(s, text_tokens, image_tokens):
+    return all(0 <= u < text_tokens for u in s.text_indices) and all(
+        0 <= v < image_tokens for v in s.image_indices
+    )
+
+
+def _denoise_call_in_range(x_t, eps, t, schedule):
+    return 1 <= t <= len(schedule) and x_t.dtype == eps.dtype == np.float64 and x_t.shape == eps.shape
+
+
+# The helpers below the entry points that no longer check their inputs, each
+# at the module that calls it, with the precondition its callers guarantee.
+_HELPER_PRECONDITIONS = {
+    (corgi.policy, "baseline_directives"): _baseline_call_is_complete,
+    (corgi.policy, "select_cached"): lambda ranking, count: 0 <= count <= len(ranking),
+    (corgi.policy, "contribution_scores"): lambda prev, cur: len(prev) == len(cur),
+    (corgi.policy, "rank_ascending"): lambda scores: bool(np.isfinite(scores).all()),
+    (corgi.policy, "build_mask"): _mask_call_in_range,
+    (corgi.runtime, "denoise_step_mean"): _denoise_call_in_range,
+    (corgi.model, "denoise_step_mean"): _denoise_call_in_range,
+    (corgi.model, "build_schedule"): lambda total_steps, beta_start=1e-4, beta_end=0.02: (
+        total_steps >= 1 and 0.0 < beta_start <= beta_end < 1.0
+    ),
+    (corgi.numerics, "normal_stream"): lambda seed, counter, n: n >= 1,
+}
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(tiny_setups(), st.data())
+def test_unchecked_helpers_only_get_what_they_assume(setup, data):
+    # every policy and variant, a pruned reference run and the ablation, with
+    # each helper's removed input check asserted on every call it gets
+    model, x = setup
+    mc = model.config
+    called = set()
+
+    def spy(module, name, precondition):
+        real = getattr(module, name)
+
+        def checked(*args, **kwargs):
+            assert precondition(*args, **kwargs), (name, args, kwargs)
+            called.add(name)
+            return real(*args, **kwargs)
+
+        return checked
+
+    with pytest.MonkeyPatch.context() as mp:
+        for (module, name), precondition in _HELPER_PRECONDITIONS.items():
+            mp.setattr(module, name, spy(module, name, precondition))
+        model = build_model(mc, model.seed)  # under the spies on its helpers
+        for policy, warmup, refresh, residual, parity in itertools.product(
+            PolicyKind, (None, 0), (False, True), ("compute", "reuse"), ("even", "odd")
+        ):
+            run_with_policy(model, x, None, CorgiConfig(
+                policy=policy, warmup=warmup, refresh_saliency=refresh, residual=residual,
+                parity=parity,
+            ))
+        run_reference(model, x, pruned_blocks={data.draw(st.integers(0, mc.num_blocks - 1))})
+        if mc.total_steps > 1:  # the adjacent-step series needs two steps
+            analyze_model(model, x)
+    # warmup=0 makes step 0 a boundary and step 1 an intra step, so every
+    # helper fires; select_cached needs that second step
+    want = {name for _, name in _HELPER_PRECONDITIONS}
+    assert called == (want if mc.total_steps > 1 else want - {"select_cached"})
 
 
 @st.composite

@@ -182,9 +182,3 @@ def test_build_mask_empty_and_popcount():
     s = SalientTokenSet(text_indices=(0, 2), image_indices=(0, 3))
     mask = build_mask(s, 3, 4)
     assert int(mask.sum()) == 4
-
-
-def test_build_mask_out_of_range():
-    s = SalientTokenSet(text_indices=(5,), image_indices=())
-    with pytest.raises(ValueError, match="out of range"):
-        build_mask(s, 2, 2)
