@@ -3,13 +3,15 @@
     python scripts/trace_sweep.py SRC_DIR
 
 imports ``corgi`` from SRC_DIR (the directory that holds the ``corgi``
-package) and runs 768 ``run_with_policy`` configurations through the CLI's
+package) and runs 960 ``run_with_policy`` configurations through the CLI's
 own ``DEFAULTS``/``setup``/``policy_config``: 6 policies x warmup {default, 0}
-x residual x refresh_saliency x parity, at 4 model shapes x 2 seeds. The
-last shape's sequence (16 tokens) is a multiple of the 8-row matmul tile, so
-the full products there multiply their operand in place, uncopied, as every
-perfbench workload's do; the other shapes' sequences (20, 11, 17) take the
-padded copy. Each run
+x residual x refresh_saliency x parity, at 5 model shapes x 2 seeds. The
+last two shapes' sequences (16 and 24 tokens) are multiples of the 8-row
+matmul tile, so their full products go to the gemm unpadded, as every
+perfbench workload's do: the projections in place, and the head views of
+the scores (2 and 4 heads, the head counts of the perfbench workloads) after
+one plain copy. The other shapes' sequences (20, 11, 17) take the padded
+copy. Each run
 prints one line: its config, the sha256 of ``Trace.to_json()`` with
 ``created_at`` blanked, a decision digest and an array digest. The decision
 digest covers the same JSON without the numbers a kernel change moves in
@@ -32,7 +34,7 @@ Two checkouts give comparable output, so
 lists exactly the runs whose bytes changed; comparing only the decision
 column (the second-last) of the ``run`` lines lists the runs whose cache
 decisions changed, and the last column the runs whose arrays changed.
-The sweep takes about 11 s on one core of a 2-vCPU x86 VM.
+The sweep takes about 10 s on one core of a 2-vCPU x86 VM.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ SHAPES = (
     {"blocks": 4, "dim": 16, "ffn_dim": 32, "heads": 2, "text_tokens": 3, "image_tokens": 8, "steps": 10},
     {"blocks": 6, "dim": 24, "ffn_dim": 48, "heads": 3, "text_tokens": 5, "image_tokens": 12, "steps": 9},
     {"blocks": 4, "dim": 16, "ffn_dim": 32, "heads": 2, "text_tokens": 4, "image_tokens": 12, "steps": 8},
+    {"blocks": 4, "dim": 32, "ffn_dim": 64, "heads": 4, "text_tokens": 8, "image_tokens": 16, "steps": 6},
 )
 SEEDS = (0, 3)
 # spelled out rather than read from corgi, so every checkout sweeps the same runs

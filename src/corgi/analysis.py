@@ -134,7 +134,12 @@ class AnalysisReport:
 
 
 def analyze_model(model: Model, x_init: Matrix, text_embed: Matrix | None = None) -> AnalysisReport:
-    """Run block ablation for every block and the adjacent-step series."""
+    """Run block ablation for every block and the adjacent-step series.
+
+    A one-step model is rejected before any run: the series needs two steps.
+    """
+    if model.config.total_steps < 2:
+        raise ValueError("need at least 2 steps")
     reference = run_reference(model, x_init, text_embed)
     maps = [
         block_ablation(model, x_init, text_embed, b, reference=reference)

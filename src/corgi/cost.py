@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 MODE_FULL = "full"
 MODE_CACHED = "cached"
 MODE_CACHED_PARTIAL = "cached_partial"
+_MODES = (MODE_FULL, MODE_CACHED, MODE_CACHED_PARTIAL)
 
 
 def flops_attn_full(seq_len: int, dim: int) -> int:
@@ -95,31 +96,38 @@ def build_cost_report(
     CostReport.
 
     salient_sizes maps (step, block index) -> |S_i|, the size of the salient
-    set a cached_partial execution refreshed.
+    set a cached_partial execution refreshed. Full and cached blocks cost
+    the same at every step, so a step charges them as count x constant and
+    sums :func:`flops_block` over its cached_partial blocks only.
     """
     salient_sizes = salient_sizes or {}
     full_block = flops_block(seq_len, dim, ffn_dim, MODE_FULL)
+    cached_block = flops_block(seq_len, dim, ffn_dim, MODE_CACHED)
     head = image_tokens * dim * dim
     per_step = []
     actual = 0
     computed = 0
     for step, modes in enumerate(step_modes):
-        step_flops = head
-        counts = {MODE_FULL: 0, MODE_CACHED: 0, MODE_CACHED_PARTIAL: 0}
-        for b, mode in enumerate(modes):
+        full, cached = modes.count(MODE_FULL), modes.count(MODE_CACHED)
+        # only a partial block's cost varies, with its salient-set size
+        partial = [b for b, mode in enumerate(modes) if mode == MODE_CACHED_PARTIAL]
+        if full + cached + len(partial) != len(modes):
+            unknown = next(m for m in modes if m not in _MODES)
+            raise ValueError(f"unknown mode {unknown!r}")
+        step_flops = head + full * full_block + cached * cached_block
+        for b in partial:
             step_flops += flops_block(
-                seq_len, dim, ffn_dim, mode, salient=salient_sizes.get((step, b), 0)
+                seq_len, dim, ffn_dim, MODE_CACHED_PARTIAL, salient=salient_sizes.get((step, b), 0)
             )
-            counts[mode] += 1
-        computed += counts[MODE_FULL]
+        computed += full
         actual += step_flops
         per_step.append(
             {
                 "step": step,
                 "flops": step_flops,
-                "full": counts[MODE_FULL],
-                "cached": counts[MODE_CACHED],
-                "cached_partial": counts[MODE_CACHED_PARTIAL],
+                "full": full,
+                "cached": cached,
+                "cached_partial": len(partial),
             }
         )
     num_blocks = len(step_modes[0]) if step_modes else 0

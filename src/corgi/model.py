@@ -15,7 +15,15 @@ run (:func:`run_reference`) is the oracle every cached run is compared to.
 heads x rows x seq array. The head-averaged map exists only as the
 image-query x text-key slice that :func:`block_forward` keeps as
 ``cross_map``, the one part of it that CorGi+'s salient-token pick reads; the
-full L x L average is never formed.
+full L x L average is never formed. ``block_forward`` forms even that slice
+only when asked (the default): :func:`run_reference` never asks, and the
+engine asks only at the steps where its schedule picks salient sets.
+
+Each block's Q, K and V weights are stacked once, in :func:`build_model`, as
+``Block.qkv``; ``wq``, ``wk`` and ``wv`` are views of it, so the stack costs
+no memory, and assigning one of them rebuilds the stack. The attention
+projects Q, K and V with the stack as it is, and the restricted path K and V
+with its ``qkv[1:]`` view.
 
 The layernorm, GELU and residual sums are written as one ufunc or
 ``np.add.reduce`` call per step, in the textbook formula's order, so they
@@ -103,13 +111,31 @@ def build_schedule(total_steps: int, beta_start: float = 1e-4, beta_end: float =
     return NoiseSchedule(betas=betas, alphas=alphas, alpha_bars=np.cumprod(alphas))
 
 
+def _qkv_weight(i: int) -> property:
+    """The i-th weight of a block's Q/K/V stack: a view of ``qkv``; assigning
+    it rebuilds the stack, so the attention projects with the new weight."""
+
+    def get(block: "Block") -> Matrix:
+        return block.qkv[i]
+
+    def put(block: "Block", w: Matrix) -> None:
+        ws = list(block.qkv)
+        ws[i] = w
+        block.qkv = np.array(ws)
+
+    return property(get, put)
+
+
 @dataclass
 class Block:
-    """Weights of one transformer block; prenorm parameters included."""
+    """Weights of one transformer block; prenorm parameters included.
 
-    wq: Matrix
-    wk: Matrix
-    wv: Matrix
+    ``qkv`` holds the Q, K and V weights stacked (3 x d x d), built once so
+    that :func:`attention_rows` projects with it as it is; ``wq``, ``wk`` and
+    ``wv`` are views of it.
+    """
+
+    qkv: Matrix
     wo: Matrix
     w1: Matrix
     w2: Matrix
@@ -119,6 +145,10 @@ class Block:
     ffn_bias: np.ndarray
     num_heads: int
 
+    wq = _qkv_weight(0)
+    wk = _qkv_weight(1)
+    wv = _qkv_weight(2)
+
 
 @dataclass
 class BlockOutputs:
@@ -126,13 +156,15 @@ class BlockOutputs:
 
     block_out = input + attn_out + ffn_out holds exactly for full forwards;
     cross_map is the image-query x text-key submatrix of the head-averaged
-    joint-attention map, the only part of that map any caller reads.
+    joint-attention map, the only part of that map any caller reads, or None
+    where the computation did not form it: :func:`run_reference` never does,
+    and the engine only at the steps where its schedule picks salient sets.
     """
 
     attn_out: Matrix
     ffn_out: Matrix
     block_out: Matrix
-    cross_map: Matrix
+    cross_map: Matrix | None
 
 
 @dataclass
@@ -163,9 +195,7 @@ def build_model(config: ModelConfig, seed: int) -> Model:
         rng = SeededRng(derive_seed(seed, f"block{b}"))
         blocks.append(
             Block(
-                wq=rng.standard_normal(d, d) * scale,
-                wk=rng.standard_normal(d, d) * scale,
-                wv=rng.standard_normal(d, d) * scale,
+                qkv=np.array([rng.standard_normal(d, d) * scale for _ in range(3)]),
                 wo=rng.standard_normal(d, d) * scale,
                 w1=rng.standard_normal(d, d_ff) * scale,
                 w2=rng.standard_normal(d_ff, d) * scale,
@@ -248,10 +278,10 @@ def attention_rows(block: Block, h: Matrix, rows: np.ndarray | None = None) -> t
     heads = block.num_heads
     dh = d // heads
     if rows is None:
-        q, k, v = matmul(x, np.array((block.wq, block.wk, block.wv)))
+        q, k, v = matmul(x, block.qkv)
     else:
-        k, v = matmul(x, np.array((block.wk, block.wv)))
-        q = matmul(x[rows], block.wq)
+        k, v = matmul(x, block.qkv[1:])
+        q = matmul(x[rows], block.qkv[0])
     n = q.shape[0]
     # heads x tokens x dh views of the projections
     q = q.reshape(n, heads, dh).transpose(1, 0, 2)
@@ -274,19 +304,26 @@ def ffn_forward(block: Block, z: Matrix) -> Matrix:
     return matmul(_gelu(matmul(y, block.w1)), block.w2)
 
 
-def block_forward(block: Block, h: Matrix, text_tokens: int) -> BlockOutputs:
+def block_forward(
+    block: Block, h: Matrix, text_tokens: int, with_cross_map: bool = True
+) -> BlockOutputs:
     """Full computation of one block on hidden state h ((L_text+L_img) x d).
 
+    The cross map is formed only when ``with_cross_map`` is true (the
+    default); otherwise it is None and the other outputs are the same bits.
     Only the shape of h is checked; non-finite rows of h propagate into
     non-finite outputs (a run checks its inputs once, at entry).
     """
     h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != block.wq.shape[0]:
+    if h.ndim != 2 or h.shape[1] != block.wo.shape[0]:
         raise ValueError(f"hidden state shape {h.shape} does not match block")
     attn_out, probs = attention_rows(block, h)
-    # the head average of the image x text slice, summed head by head from 0
-    # (np.add.reduce sums a lone cell's heads pairwise) into a fresh array
-    cross_map = sum(probs[:, text_tokens:, :text_tokens]) / block.num_heads
+    cross_map = None
+    if with_cross_map:
+        # the head average of the image x text slice, summed head by head
+        # from 0 (np.add.reduce sums a lone cell's heads pairwise) into a
+        # fresh array
+        cross_map = sum(probs[:, text_tokens:, :text_tokens]) / block.num_heads
     # freed before the FFN allocates: kept alive under the FFN's temporaries,
     # the heads x L x L array made glibc trim and regrow the heap every block
     # (about 10x the page faults of a run_reference at ablate_small's shape)
@@ -385,7 +422,7 @@ def run_reference(
         h = initial_hidden(model, x, step, text_embed)
         for b, block in enumerate(model.blocks):
             if b not in pruned_blocks:
-                h = block_forward(block, h, cfg.text_tokens).block_out
+                h = block_forward(block, h, cfg.text_tokens, with_cross_map=False).block_out
         eps = predict_noise(model, h)
         if not np.isfinite(eps).all():
             raise FloatingPointError(f"non-finite noise prediction at step {step}")

@@ -12,9 +12,9 @@ needs row stability: ``matmul(A[rows], B)`` must be bit-equal to
 ``matmul(A, B)[rows]``. Plain ``@`` does not give that. BLAS gemm picks its
 kernel, blocking and accumulation order from the operand shape, so the same
 row can come out with different low-order bits when the row count changes.
-Only :func:`corgi.contribution.cka` multiplies its Gram matrices with plain
-``@``: they need no row stability, and neither the MAC-counting test nor the
-cost model counts them.
+Only the similarity in :mod:`corgi.contribution` multiplies its Gram
+matrices with plain ``@``: they need no row stability, and neither the
+MAC-counting test nor the cost model counts them.
 
 Both functions run one fixed-tile gemm (:func:`_row_tiled`): the rows of
 ``A`` are zero-padded to a multiple of ``_TILE`` and multiplied as a stack of
@@ -40,11 +40,16 @@ loop, in a different order. The tiles are always C-contiguous, and the
 weights and the head views of a projection (a column slice of a
 C-contiguous array) meet that rule.
 
-``A`` is not copied when it is C-contiguous, has a multiple of ``_TILE``
-rows and shares no memory with ``B``: its rows then already are the tiles.
-The memory check is the syrk guard. Given ``matmul_nt(A, A)``, numpy would
-see one matrix times its own transpose and run syrk, which computes the rows
-of a tile unlike gemm; a copy makes the two operands distinct.
+An ``A`` with a multiple of ``_TILE`` rows that shares no memory with
+``B`` is not padded: its rows already are the tiles. A C-contiguous one is
+reshaped to tiles in place, a non-contiguous one (a head view of a
+projection) is made contiguous with one plain copy, and the product comes
+back with no trailing slice. Every other ``A`` is copied into a zero-padded
+buffer. The tiles hold the same values either way, so every path gives the
+same bits. The memory check is the syrk guard. Given ``matmul_nt(A, A)``,
+numpy would see one matrix times its own transpose and run syrk, which
+computes the rows of a tile unlike gemm; the padded copy makes the two
+operands distinct.
 
 The hot paths here and in :mod:`corgi.model`, :mod:`corgi.saliency` and
 :mod:`corgi.contribution` spell their reductions as ``np.add.reduce`` /
@@ -72,16 +77,17 @@ those; a check per call would repeat that work once per head, block, step
 or pick. Called directly on a non-finite input, a kernel returns non-finite
 entries, as numpy would.
 
-Four checks still run inside a run, all in exported functions whose errors
-tests pin: :func:`corgi.contribution.cka` checks both inputs at every
-scoring, :func:`corgi.saliency.identify_salient` its cross map at every
-pick, and :func:`corgi.model.block_forward` and
-:func:`corgi.runtime.masked_merge` their arrays at every block. The last
-three are also spans the benchmark expects to fire, so the engine cannot
-call an unchecked private core in their place until the benchmark names it
-(ROADMAP items 1 and 6); for ``cka`` such a core would add code for a
-per-scoring saving. The per-step finiteness check on the noise prediction
-is the engine's own guard, not an input check, and stays.
+Three checks still run inside a run, all in exported functions whose
+errors tests pin: :func:`corgi.saliency.identify_salient` checks its cross
+map at every pick, and :func:`corgi.model.block_forward` and
+:func:`corgi.runtime.masked_merge` their arrays at every block. All three
+are also spans the benchmark expects to fire, so the engine cannot call an
+unchecked private core in their place until the benchmark names it
+(ROADMAP items 1 and 6). The schedules score contributions through
+``contribution_scores``, whose unchecked core reuses each snapshot's Gram
+norms; :func:`corgi.contribution.cka` keeps its checks as the export. The
+per-step finiteness check on the noise prediction is the engine's own
+guard, not an input check, and stays.
 """
 
 from __future__ import annotations
@@ -187,18 +193,20 @@ _TILE = 8
 
 def _row_tiled(a: Matrix, b: Matrix) -> Matrix:
     """a @ b as a stack of fixed (_TILE, k) @ (k, m) gemms over any leading
-    batch axes; a is copied only when it cannot be tiled in place (see the
-    module docstring)."""
-    *lead, n, k = a.shape
-    pad = -n % _TILE
-    if pad or not a.flags.c_contiguous or np.may_share_memory(a, b):
-        tiles = np.zeros((*lead, n + pad, k))
-        tiles[..., :n, :] = a
-    else:
-        tiles = a
+    batch axes: an aligned a goes to the gemm as it is or after one plain
+    copy, any other a is zero-padded (see the module docstring)."""
+    shape = a.shape
+    n, k = shape[-2:]
     if b.ndim > 2:
         b = b[..., None, :, :]  # one b per batch item, shared by its tiles
-    out = np.matmul(tiles.reshape(*lead, -1, _TILE, k), b)
+    if n % _TILE == 0 and not np.may_share_memory(a, b):
+        if not a.flags.c_contiguous:
+            a = np.ascontiguousarray(a)
+        out = np.matmul(a.reshape(*shape[:-2], -1, _TILE, k), b)
+        return out.reshape(*out.shape[:-3], n, out.shape[-1])
+    tiles = np.zeros((*shape[:-2], n + -n % _TILE, k))
+    tiles[..., :n, :] = a
+    out = np.matmul(tiles.reshape(*shape[:-2], -1, _TILE, k), b)
     return out.reshape(*out.shape[:-3], -1, out.shape[-1])[..., :n, :]
 
 

@@ -18,9 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .contribution import contribution_scores, rank_ascending
+from .contribution import FeatureSnapshot, contribution_scores, rank_ascending
 from .model import BlockOutputs, ModelConfig
-from .numerics import Matrix, SeededRng, derive_seed
+from .numerics import SeededRng, derive_seed
 from .saliency import SalientTokenSet, build_mask, identify_salient
 
 WARMUP = "warmup"
@@ -179,7 +179,7 @@ class IntervalSchedule:
         self.mc = mc
         self.roles = plan_steps(mc.total_steps, rcfg.warmup, rcfg.interval)
         self.ranking = list(range(mc.num_blocks))
-        self.snapshot: list[Matrix] | None = None
+        self.snapshot: FeatureSnapshot | None = None
         self.contributions: list[dict] = []
         self.saliency: list[dict] | None = None
         self.refresh: list[tuple[SalientTokenSet, np.ndarray]] | None = None
@@ -195,18 +195,24 @@ class IntervalSchedule:
         count = cached_count(role.offset, rcfg.gamma, rcfg.delta, self.mc.num_blocks)
         return select_cached(self.ranking, count)
 
+    def reads_cross_maps(self, step: int) -> bool:
+        rcfg = self.rcfg
+        return (
+            rcfg.policy == PolicyKind.CORGI_PLUS
+            and self.roles[step].kind == BOUNDARY
+            and (self.refresh is None or rcfg.refresh_saliency)
+        )
+
     def observe(self, step: int, outputs: list[BlockOutputs]) -> None:
         rcfg = self.rcfg
         if self.roles[step].kind == BOUNDARY:
-            block_outs = [o.block_out for o in outputs]
+            block_outs = FeatureSnapshot(o.block_out for o in outputs)
             reference = self.snapshot if self.snapshot is not None else block_outs
             scores = contribution_scores(reference, block_outs)
             self.ranking = rank_ascending(scores)
             self.contributions.append({"step": step, "scores": [float(v) for v in scores]})
             self.snapshot = block_outs
-            if rcfg.policy == PolicyKind.CORGI_PLUS and (
-                self.refresh is None or rcfg.refresh_saliency
-            ):
+            if self.reads_cross_maps(step):
                 mc = self.mc
                 picks = [identify_salient(o.cross_map, rcfg.top_c) for o in outputs]
                 self.refresh = [
@@ -218,7 +224,7 @@ class IntervalSchedule:
                     for b, ss in enumerate(picks)
                 ]
         elif step == rcfg.warmup - 1:
-            self.snapshot = [o.block_out for o in outputs]  # bootstrap reference
+            self.snapshot = FeatureSnapshot(o.block_out for o in outputs)  # bootstrap reference
 
 
 class BaselineSchedule:
@@ -233,7 +239,7 @@ class BaselineSchedule:
         self.rcfg = rcfg
         self.num_blocks = mc.num_blocks
         self.rng = SeededRng(derive_seed(rcfg.seed, "policy-random"))
-        self.previous: tuple[list[Matrix] | None, list[Matrix] | None] = (None, None)
+        self.previous: tuple[FeatureSnapshot | None, FeatureSnapshot | None] = (None, None)
         self.contributions: list[dict] = []
         self.saliency: list[dict] | None = None
         self.refresh: list[tuple[SalientTokenSet, np.ndarray]] | None = None
@@ -256,17 +262,23 @@ class BaselineSchedule:
             ranking=ranking, parity=rcfg.parity, rng=self.rng,
         )
 
+    def reads_cross_maps(self, step: int) -> bool:
+        return False
+
     def observe(self, step: int, outputs: list[BlockOutputs]) -> None:
         if self.rcfg.policy == PolicyKind.PER_STEP_NAIVE:  # the only baseline that reads them
-            self.previous = (self.previous[1], [o.block_out for o in outputs])
+            self.previous = (self.previous[1], FeatureSnapshot(o.block_out for o in outputs))
 
 
 def make_schedule(rcfg: CorgiConfig, mc: ModelConfig) -> IntervalSchedule | BaselineSchedule:
     """The schedule object of a resolved config's policy.
 
     A schedule answers ``directive(step)`` (blocks to serve from the cache),
-    ``label(step)`` (the step's role) and ``observe(step, outputs)`` (the
-    step's per-block outputs, after it ran), and carries ``contributions``
+    ``label(step)`` (the step's role), ``reads_cross_maps(step)`` (whether
+    observing the step picks salient sets, which read its blocks' cross
+    maps: corgi_plus's first boundary, or every boundary with
+    refresh_saliency) and ``observe(step, outputs)`` (the step's per-block
+    outputs, after it ran), and carries ``contributions``
     (per-boundary scores), ``saliency`` (one entry per block and salient-set
     pick, or None when no set was picked) and ``refresh``: per block, the
     salient set in force and its row mask, or None when cached blocks replay

@@ -284,6 +284,9 @@ def run_with_policy(
     computation. Cached blocks run through :func:`execute_block_corgi_plus`
     when the schedule carries a salient refresh, else through
     :func:`execute_block_cached` with the configured residual strategy.
+    Full blocks form their cross maps only at the steps whose observation
+    reads them (the schedule's ``reads_cross_maps``); elsewhere the entries
+    hold None, and cached blocks echo that.
     The config and the arrays are checked here, once, before step 0.
     """
     mc = model.config
@@ -297,6 +300,7 @@ def run_with_policy(
     for s in range(mc.total_steps):
         directive = schedule.directive(s)
         refresh = schedule.refresh
+        with_cross_map = schedule.reads_cross_maps(s)
         h = initial_hidden(model, x, s, text_embed)
         modes: list[str] = []
         step_outputs: list[BlockOutputs] = []
@@ -310,7 +314,7 @@ def run_with_policy(
                     outs = execute_block_corgi_plus(h, block, entry, *refresh[b], mc.text_tokens)
                     mode = MODE_CACHED_PARTIAL
             else:
-                outs = cache[b] = block_forward(block, h, mc.text_tokens)
+                outs = cache[b] = block_forward(block, h, mc.text_tokens, with_cross_map)
                 mode = MODE_FULL
             modes.append(mode)
             step_outputs.append(outs)

@@ -141,6 +141,24 @@ def test_analyze_model_report_shapes():
     assert d["schema"] == "corgi-ablation/1"
 
 
+def test_a_one_step_ablation_is_rejected_before_any_run(monkeypatch):
+    # the adjacent-step series needs two steps; nine reference runs used to
+    # come before that error
+    import corgi.analysis
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return run_reference(*args, **kwargs)
+
+    monkeypatch.setattr(corgi.analysis, "run_reference", spy)
+    model, x = toy_setup(0, total_steps=1)
+    with pytest.raises(ValueError, match="need at least 2 steps"):
+        analyze_model(model, x)
+    assert calls == []
+
+
 def test_cost_report_matches_trace_and_rejects_truncation():
     model, x = toy_setup(8)
     trace = run_with_policy(

@@ -245,6 +245,13 @@ def test_compare_rejects_empty_policy_list(capsys, policies):
     assert "--policies names no policy" in capsys.readouterr().err
 
 
+def test_one_step_ablate_returns_one_with_json_error(capsys):
+    rc = main(["ablate", *SMALL, "--steps", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(err) == {"error": "need at least 2 steps"}
+
+
 def test_ablate_report(tmp_path):
     out = tmp_path / "ablate.json"
     rc = main(["ablate", *SMALL, "--seed", "2", "-o", str(out)])

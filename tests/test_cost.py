@@ -1,5 +1,8 @@
+from dataclasses import asdict
+
 import pytest
 
+from corgi import CorgiConfig, PolicyKind, run_with_policy
 from corgi.cost import (
     MODE_CACHED,
     MODE_CACHED_PARTIAL,
@@ -9,6 +12,8 @@ from corgi.cost import (
     flops_block,
     flops_ffn_full,
 )
+
+from helpers import toy_setup
 
 
 def test_full_block_hand_value():
@@ -73,3 +78,42 @@ def test_report_partial_uses_salient_sizes():
     small = build_cost_report(modes, 10, 8, 16, 6, salient_sizes={(0, 0): 1})
     big = build_cost_report(modes, 10, 8, 16, 6, salient_sizes={(0, 0): 9})
     assert small.flops_actual < big.flops_actual
+
+
+def _per_block_report(trace):
+    """The cost report summed one flops_block call per (step, block)."""
+    mc = trace.config["model"]
+    L, d, d_ff = mc["text_tokens"] + mc["image_tokens"], mc["hidden_dim"], mc["ffn_dim"]
+    head = mc["image_tokens"] * d * d
+    sizes = {}
+    for e in trace.saliency or ():
+        for step in range(e["step"], len(trace.steps)):
+            sizes[(step, e["block"])] = len(e["text"]) + len(e["image"])
+    per_step = []
+    for r in trace.steps:
+        flops = head + sum(
+            flops_block(L, d, d_ff, m, salient=sizes.get((r.step, b), 0)) for b, m in enumerate(r.modes)
+        )
+        per_step.append({"step": r.step, "flops": flops, **{m: r.modes.count(m) for m in (
+            MODE_FULL, MODE_CACHED, MODE_CACHED_PARTIAL)}})
+    total = len(trace.steps) * len(trace.steps[0].modes)
+    computed = sum(row[MODE_FULL] for row in per_step)
+    full = total * flops_block(L, d, d_ff, MODE_FULL) + len(trace.steps) * head
+    actual = sum(row["flops"] for row in per_step)
+    return dict(flops_full=full, flops_actual=actual, speedup=full / actual, blocks_total=total,
+                blocks_computed=computed, block_speedup=total / computed, per_step=per_step)
+
+
+@pytest.mark.parametrize("refresh", [False, True])
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_report_equals_the_per_block_sum(policy, refresh):
+    # the report charges full and cached blocks as count x constant per step;
+    # that must equal one flops_block call per (step, block), field for field
+    model, x = toy_setup(4)
+    trace = run_with_policy(model, x, None, CorgiConfig(policy=policy, refresh_saliency=refresh))
+    assert asdict(trace.cost) == _per_block_report(trace)
+
+
+def test_report_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'turbo'"):
+        build_cost_report([[MODE_FULL, "turbo"]], 8, 4, 8, 6)

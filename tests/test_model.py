@@ -62,9 +62,7 @@ def _toy_block(d=8, d_ff=16, heads=2, seed=0):
     rng = SeededRng(seed)
     s = 1.0 / np.sqrt(d)
     return Block(
-        wq=rng.standard_normal(d, d) * s,
-        wk=rng.standard_normal(d, d) * s,
-        wv=rng.standard_normal(d, d) * s,
+        qkv=np.array([rng.standard_normal(d, d) * s for _ in range(3)]),
         wo=rng.standard_normal(d, d) * s,
         w1=rng.standard_normal(d, d_ff) * s,
         w2=rng.standard_normal(d_ff, d) * s,
@@ -92,9 +90,7 @@ def test_block_forward_matches_hand_evaluation():
     wq, wk, wv, wo, w1, w2 = 0.5, -0.3, 0.8, 1.1, 0.7, -0.6
     g_a, b_a, g_f, b_f = 1.2, 0.4, 0.9, -0.2
     blk = Block(
-        wq=np.array([[wq]]),
-        wk=np.array([[wk]]),
-        wv=np.array([[wv]]),
+        qkv=np.array([[[wq]], [[wk]], [[wv]]]),
         wo=np.array([[wo]]),
         w1=np.array([[w1]]),
         w2=np.array([[w2]]),

@@ -22,6 +22,7 @@ from corgi import (
     analyze_model,
     build_model,
     kmeans_1d_two,
+    plan_steps,
     run_reference,
     run_with_policy,
 )
@@ -187,6 +188,60 @@ def test_unchecked_helpers_only_get_what_they_assume(setup, data):
     assert called == (want if mc.total_steps > 1 else want - {"select_cached"})
 
 
+def _pick_steps(rcfg, total_steps):
+    """Steps at which corgi_plus picks salient sets: its first boundary, or
+    every boundary with refresh_saliency."""
+    if rcfg.policy != PolicyKind.CORGI_PLUS:
+        return []
+    boundaries = [
+        s for s, role in enumerate(plan_steps(total_steps, rcfg.warmup, rcfg.interval))
+        if role.kind == "boundary"
+    ]
+    return boundaries if rcfg.refresh_saliency else boundaries[:1]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(tiny_setups())
+def test_cross_maps_are_formed_only_where_a_pick_reads_them(setup):
+    # every full block's call is logged with the step it ran at (the number
+    # of denoising updates before it) and whether it formed a cross map
+    model, x = setup
+    mc = model.config
+    formed = []
+    steps = [0]
+
+    def spy_forward(*args, **kwargs):
+        outs = real_forward(*args, **kwargs)
+        formed.append((steps[0], outs.cross_map is not None))
+        return outs
+
+    def spy_denoise(*args):
+        steps[0] += 1
+        return real_denoise(*args)
+
+    real_forward, real_denoise = corgi.model.block_forward, corgi.model.denoise_step_mean
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (corgi.model, corgi.runtime):
+            mp.setattr(module, "block_forward", spy_forward)
+            mp.setattr(module, "denoise_step_mean", spy_denoise)
+        for policy, warmup, refresh in itertools.product(PolicyKind, (None, 0), (False, True)):
+            formed.clear()
+            steps[0] = 0
+            cfg = CorgiConfig(policy=policy, warmup=warmup, refresh_saliency=refresh)
+            trace = run_with_policy(model, x, None, cfg)
+            picks = _pick_steps(cfg.resolved(mc.total_steps, mc.num_blocks, mc.text_tokens), mc.total_steps)
+            assert sorted({s for s, made in formed if made}) == picks
+            # a pick step computes every block in full, and each forms its map
+            assert sum(made for _, made in formed) == len(picks) * mc.num_blocks
+            assert sorted({e["step"] for e in trace.saliency or ()}) == picks
+        formed.clear()
+        run_reference(model, x)
+        run_reference(model, x, pruned_blocks={0})
+        if mc.total_steps > 1:
+            analyze_model(model, x)
+        assert formed and not any(made for _, made in formed)
+
+
 @st.composite
 def row_subset_products(draw):
     """Operands of a random shape plus a sorted subset of a's rows."""
@@ -234,31 +289,49 @@ def _padded_product(a, b):
 @st.composite
 def aligned_products(draw):
     """An operand a with a multiple of 8 rows and optional batch axes, laid
-    out as a fresh array, as a C-contiguous view into a larger one, or as
-    sharing memory with b (b = a's own transpose)."""
+    out as a fresh array, as a C-contiguous view into a larger one, as a
+    non-contiguous head view (heads x n x dh out of an n x (heads * dh)
+    projection), or as sharing memory with b (b = a's own transpose); b is
+    fresh, or a view of a pre-built weight stack as a block's qkv is."""
     lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
     n, k, m = 8 * draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
     rng = SeededRng(draw(st.integers(min_value=0, max_value=2**64 - 1)))
-    layout = draw(st.sampled_from(["fresh", "view", "shared"]))
+    layout = draw(st.sampled_from(["fresh", "view", "heads", "shared"]))
     batch = math.prod(lead)
     if layout == "shared":
         a = rng.standard_normal(batch * n, k).reshape(*lead, n, k)
         return a, a.swapaxes(-1, -2)
-    big = rng.standard_normal(batch * (n + 16), k).reshape(*lead, n + 16, k)
-    a = big[..., 8 : 8 + n, :] if layout == "view" and not lead else np.ascontiguousarray(big[..., :n, :])
+    if layout == "heads":
+        heads = draw(st.integers(2, 4))
+        a = rng.standard_normal(n, heads * k).reshape(n, heads, k).transpose(1, 0, 2)
+        lead = (heads,)
+    else:
+        big = rng.standard_normal(batch * (n + 16), k).reshape(*lead, n + 16, k)
+        a = big[..., 8 : 8 + n, :] if layout == "view" and not lead else np.ascontiguousarray(big[..., :n, :])
     b_lead = lead if draw(st.booleans()) else ()
+    if draw(st.booleans()):  # trailing items of a stack, as the partial path's K/V weights
+        stack = rng.standard_normal((math.prod(b_lead) + 1) * k, m).reshape(-1, k, m)
+        return a, stack[1:].reshape(*b_lead, k, m)
     return a, rng.standard_normal(math.prod(b_lead) * k, m).reshape(*b_lead, k, m)
+
+
+# 8 x 33 times its own transpose: numpy runs syrk on that, whose bits differ
+# from gemm's under OpenBLAS's SkylakeX kernel
+_SYRK_A = SeededRng(1).standard_normal(8, 33)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(aligned_products())
 @example((np.ones((8, 3)), np.ones((3, 2))))
+@example((np.arange(48.0).reshape(8, 2, 3).transpose(1, 0, 2), np.ones((2, 3, 4))))
+@example((_SYRK_A, _SYRK_A.T))
 def test_uncopied_tiles_are_bit_equal_to_padded_tiles(operands):
-    # _row_tiled multiplies a's own memory when a is C-contiguous with a
-    # multiple of 8 rows; that must give the padded copy's bits, and an a that
-    # shares b's memory must still be copied (numpy would run syrk on it)
+    # _row_tiled hands an a with a multiple of 8 rows to the gemm without
+    # padding: in place when it is C-contiguous, else after one plain copy
+    # (a head view); that must give the padded copy's bits, and an a that
+    # shares b's memory must still be padded (numpy would run syrk on it)
     a, b = operands
-    assert a.flags.c_contiguous and a.shape[-2] % 8 == 0
+    assert a.shape[-2] % 8 == 0
     assert np.array_equal(_row_tiled(a, b), _padded_product(a, b))
 
 
@@ -345,6 +418,17 @@ def test_head_batched_attention_is_bit_equal_to_a_per_head_loop(inputs):
         joint = joint + p
     cross = (joint / block.num_heads)[text:, :text]
     assert np.array_equal(block_forward(block, h, text).cross_map, cross)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(attention_inputs())
+def test_block_forward_without_the_cross_map_is_bit_equal(inputs):
+    block, h, text, _ = inputs
+    with_map = block_forward(block, h, text)
+    bare = block_forward(block, h, text, with_cross_map=False)
+    assert with_map.cross_map is not None and bare.cross_map is None
+    for name in ("attn_out", "ffn_out", "block_out"):
+        assert np.array_equal(getattr(bare, name), getattr(with_map, name)), name
 
 
 # Textbook forms of the hot-path helpers, as np.mean/np.var/np.max/np.sum
