@@ -93,13 +93,12 @@ def block_ablation(
 
     Entry (s, v) is the cosine between the pruned and intact models' predicted
     noise for image token v at step s. Pass a precomputed reference to amortize
-    it across blocks.
+    it across blocks. The pruned run goes first, so that :func:`run_reference`
+    rejects a bad block index before any block runs.
     """
-    if not 0 <= block_index < model.config.num_blocks:
-        raise ValueError(f"block index {block_index} out of range")
+    pruned = run_reference(model, x_init, text_embed, pruned_blocks={block_index})
     if reference is None:
         reference = run_reference(model, x_init, text_embed)
-    pruned = run_reference(model, x_init, text_embed, pruned_blocks={block_index})
     _check_same_shapes(pruned.noise_preds, reference.noise_preds)
     return np.array([_row_cosines(p, r) for p, r in zip(pruned.noise_preds, reference.noise_preds)])
 

@@ -149,7 +149,7 @@ def merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> d
 
 
 def setup(cfg: dict):
-    """Model, initial noise and policy config from a merged flag dict."""
+    """The model and its initial noise from a merged flag dict."""
     mc = ModelConfig(**{field: cfg[key] for key, field in MODEL_KEYS.items()})
     seed = cfg["seed"]
     model = build_model(mc, derive_seed(seed, "model"))

@@ -20,10 +20,10 @@ only when asked (the default): :func:`run_reference` never asks, and the
 engine asks only at the steps where its schedule picks salient sets.
 
 Each block's Q, K and V weights are stacked once, in :func:`build_model`, as
-``Block.qkv``; ``wq``, ``wk`` and ``wv`` are views of it, so the stack costs
-no memory, and assigning one of them rebuilds the stack. The attention
-projects Q, K and V with the stack as it is, and the restricted path K and V
-with its ``qkv[1:]`` view.
+``Block.qkv``, the only form in which a block holds them: ``qkv[0]``,
+``qkv[1]`` and ``qkv[2]`` are the Q, K and V weights. The attention projects
+Q, K and V with the stack as it is, and the restricted path K and V with its
+``qkv[1:]`` view.
 
 The layernorm, GELU and residual sums are written as one ufunc or
 ``np.add.reduce`` call per step, in the textbook formula's order, so they
@@ -111,28 +111,13 @@ def build_schedule(total_steps: int, beta_start: float = 1e-4, beta_end: float =
     return NoiseSchedule(betas=betas, alphas=alphas, alpha_bars=np.cumprod(alphas))
 
 
-def _qkv_weight(i: int) -> property:
-    """The i-th weight of a block's Q/K/V stack: a view of ``qkv``; assigning
-    it rebuilds the stack, so the attention projects with the new weight."""
-
-    def get(block: "Block") -> Matrix:
-        return block.qkv[i]
-
-    def put(block: "Block", w: Matrix) -> None:
-        ws = list(block.qkv)
-        ws[i] = w
-        block.qkv = np.array(ws)
-
-    return property(get, put)
-
-
 @dataclass
 class Block:
     """Weights of one transformer block; prenorm parameters included.
 
     ``qkv`` holds the Q, K and V weights stacked (3 x d x d), built once so
-    that :func:`attention_rows` projects with it as it is; ``wq``, ``wk`` and
-    ``wv`` are views of it.
+    that :func:`attention_rows` projects with it as it is; a weight is
+    changed in place, through its slice of the stack.
     """
 
     qkv: Matrix
@@ -144,10 +129,6 @@ class Block:
     ffn_gain: np.ndarray
     ffn_bias: np.ndarray
     num_heads: int
-
-    wq = _qkv_weight(0)
-    wk = _qkv_weight(1)
-    wv = _qkv_weight(2)
 
 
 @dataclass
@@ -349,10 +330,11 @@ def denoise_step_mean(x_t: Matrix, eps: Matrix, t: int, schedule: NoiseSchedule)
 
 def check_run_inputs(
     model: Model, x_init: Matrix, text_embed: Matrix | None
-) -> tuple[Matrix, Matrix | None]:
+) -> tuple[Matrix, Matrix]:
     """A run's arrays as float64, checked once at its entry point: x_init
     must be a finite image_tokens x hidden_dim latent and text_embed, when
-    given, a finite text_tokens x hidden_dim embedding."""
+    given, a finite text_tokens x hidden_dim embedding. A missing text_embed
+    resolves here to the model's own, so every step gets an embedding."""
     cfg = model.config
 
     def check(name: str, m: Matrix, rows: int) -> Matrix:
@@ -362,15 +344,17 @@ def check_run_inputs(
         return ensure_matrix(a, name)
 
     x = check("x_init", x_init, cfg.image_tokens)
-    if text_embed is not None:
-        text_embed = check("text_embed", text_embed, cfg.text_tokens)
-    return x, text_embed
-
-
-def initial_hidden(model: Model, x: Matrix, step: int, text_embed: Matrix | None = None) -> Matrix:
-    """Joint hidden state for one step: [text; latent] plus the step bias."""
     if text_embed is None:
-        text_embed = model.text_embed
+        return x, model.text_embed
+    return x, check("text_embed", text_embed, cfg.text_tokens)
+
+
+def initial_hidden(model: Model, x: Matrix, step: int, text_embed: Matrix) -> Matrix:
+    """Joint hidden state for one step: [text; latent] plus the step bias.
+
+    Unchecked: the two denoising loops pass the embedding that
+    :func:`check_run_inputs` resolved at entry.
+    """
     return np.concatenate([text_embed, x], axis=0) + model.step_bias[step]
 
 

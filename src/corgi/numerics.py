@@ -77,17 +77,21 @@ those; a check per call would repeat that work once per head, block, step
 or pick. Called directly on a non-finite input, a kernel returns non-finite
 entries, as numpy would.
 
-Three checks still run inside a run, all in exported functions whose
+Four checks still run inside a run. Three sit in exported functions whose
 errors tests pin: :func:`corgi.saliency.identify_salient` checks its cross
 map at every pick, and :func:`corgi.model.block_forward` and
 :func:`corgi.runtime.masked_merge` their arrays at every block. All three
 are also spans the benchmark expects to fire, so the engine cannot call an
 unchecked private core in their place until the benchmark names it
-(ROADMAP items 1 and 6). The schedules score contributions through
-``contribution_scores``, whose unchecked core reuses each snapshot's Gram
-norms; :func:`corgi.contribution.cka` keeps its checks as the export. The
-per-step finiteness check on the noise prediction is the engine's own
-guard, not an input check, and stays.
+(ROADMAP items 1 and 6). The fourth is one comparison at every refreshed
+block and every mask: :func:`corgi.saliency.salient_rows` rejects a text
+index at or past the text tokens (the sorted tuple's last entry), which
+would name an image row. A :class:`corgi.saliency.SalientTokenSet` checks
+its own indices once, when it is made. The schedules score contributions
+through ``contribution_scores``, whose unchecked core reuses each
+snapshot's Gram norms; :func:`corgi.contribution.cka` keeps its checks as
+the export. The per-step finiteness check on the noise prediction is the
+engine's own guard, not an input check, and stays.
 """
 
 from __future__ import annotations

@@ -81,10 +81,7 @@ def partial_attention(block: Block, h: Matrix, s: SalientTokenSet, text_tokens: 
     bit-equal to the same row of a full attention evaluation. h is not
     checked: non-finite rows of h propagate into non-finite output rows.
     """
-    rows = salient_rows(s, text_tokens)
-    if rows.size == 0:
-        return np.zeros((0, h.shape[1]))
-    out, _ = attention_rows(block, h, rows)
+    out, _ = attention_rows(block, h, salient_rows(s, text_tokens))
     return out
 
 

@@ -28,10 +28,22 @@ class KMeansResult:
 @dataclass(frozen=True)
 class SalientTokenSet:
     """Per-block salient tokens: text indices plus their high-cluster image
-    indices, both in ascending order."""
+    indices, both in ascending order.
+
+    Each tuple must hold non-negative integers (not bools), strictly
+    ascending; ValueError otherwise. Whether they lie below the token counts
+    is checked where they become rows (:func:`salient_rows`).
+    """
 
     text_indices: tuple[int, ...]
     image_indices: tuple[int, ...]
+
+    def __post_init__(self):
+        for name, idx in (("text", self.text_indices), ("image", self.image_indices)):
+            if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in idx):
+                raise ValueError(f"{name} indices {idx!r} are not all integers")
+            if idx and (idx[0] < 0 or any(a >= b for a, b in zip(idx, idx[1:]))):
+                raise ValueError(f"{name} indices {idx!r} are not ascending, distinct and >= 0")
 
 
 def saliency_scores(cross_map: Matrix) -> np.ndarray:
@@ -100,16 +112,22 @@ def identify_salient(cross_map: Matrix, c: int) -> SalientTokenSet:
 
 def salient_rows(s: SalientTokenSet, text_tokens: int) -> np.ndarray:
     """Joint-sequence row indices of a salient set, ascending: text rows
-    first, then image rows."""
+    first, then image rows, each in the set's own ascending order. A text
+    index of text_tokens or more would name an image row, so it raises
+    ValueError."""
+    if s.text_indices and s.text_indices[-1] >= text_tokens:
+        last = s.text_indices[-1]
+        raise ValueError(f"text index {last} out of range for {text_tokens} text tokens")
     rows = list(s.text_indices) + [text_tokens + v for v in s.image_indices]
-    return np.array(sorted(rows), dtype=np.intp)
+    return np.array(rows, dtype=np.intp)
 
 
 def build_mask(s: SalientTokenSet, text_tokens: int, image_tokens: int) -> np.ndarray:
     """Binary mask over the joint sequence: 1 on the :func:`salient_rows`.
 
-    Unchecked: the set comes from :func:`identify_salient` on a block's
-    image x text cross map, so its indices lie in range.
+    Unchecked beyond :func:`salient_rows`: the set comes from
+    :func:`identify_salient` on a block's image x text cross map, so its
+    image indices lie in range.
     """
     mask = np.zeros(text_tokens + image_tokens, dtype=np.int8)
     mask[salient_rows(s, text_tokens)] = 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import corgi.model
 from corgi import (
     CorgiConfig,
     PolicyKind,
@@ -93,6 +94,24 @@ def test_ablation_index_out_of_range():
     model, x = toy_setup(5, num_blocks=2, total_steps=3, hidden_dim=16, ffn_dim=16, num_heads=2)
     with pytest.raises(ValueError, match="out of range"):
         block_ablation(model, x, None, 2)
+
+
+@pytest.mark.parametrize("index", [-1, 2, 0.5])
+def test_a_bad_ablation_index_is_rejected_before_any_block_runs(index, monkeypatch):
+    model, x = toy_setup(5, num_blocks=2, total_steps=3, hidden_dim=16, ffn_dim=16, num_heads=2)
+    calls = []
+    real = corgi.model.block_forward
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(corgi.model, "block_forward", spy)
+    with pytest.raises(ValueError, match="pruned block"):
+        block_ablation(model, x, None, index)
+    assert calls == []
+    block_ablation(model, x, None, 1)  # the spy does see the blocks that run
+    assert len(calls) == 3 * 1 + 3 * 2  # the pruned run, then the reference
 
 
 def test_a_non_integer_pruned_index_is_rejected_by_name():

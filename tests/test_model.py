@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ def test_build_model_deterministic():
     assert np.array_equal(a.blocks[1].w1, b.blocks[1].w1)
     assert np.array_equal(a.text_embed, b.text_embed)
     c = build_model(cfg, 43)
-    assert not np.array_equal(a.blocks[0].wq, c.blocks[0].wq)
+    assert not np.array_equal(a.blocks[0].qkv[0], c.blocks[0].qkv[0])
 
 
 def test_build_model_shapes():
@@ -40,7 +42,8 @@ def test_build_model_shapes():
     m = build_model(cfg, 0)
     assert len(m.blocks) == 2
     for blk in m.blocks:
-        assert blk.wq.shape == blk.wk.shape == blk.wv.shape == blk.wo.shape == (8, 8)
+        assert blk.qkv.shape == (3, 8, 8)
+        assert blk.wo.shape == (8, 8)
         assert blk.w1.shape == (8, 12)
         assert blk.w2.shape == (12, 8)
     assert m.text_embed.shape == (cfg.text_tokens, 8)
@@ -146,13 +149,36 @@ def test_uniform_heads_average_to_single_head():
     # zero queries/keys make every head uniform, so the head average equals
     # any individual head's map
     blk = _toy_block(d=8, heads=4)
-    blk.wq = np.zeros_like(blk.wq)
-    blk.wk = np.zeros_like(blk.wk)
+    blk.qkv[:2] = 0.0
     h = SeededRng(9).standard_normal(5, 8)
     probs = attention_rows(blk, h)[1]
     assert probs.shape == (4, 5, 5)
     assert np.allclose(probs, 1.0 / 5.0, atol=1e-15)
     assert np.allclose(block_forward(blk, h, text_tokens=2).cross_map, 1.0 / 5.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim, heads", [(32, 4), (16, 2)])
+def test_attention_on_no_query_rows_is_empty(dim, heads):
+    # an empty salient set takes the general path, with no special case
+    model, x = toy_setup(4, num_blocks=1, hidden_dim=dim, ffn_dim=dim, num_heads=heads)
+    h = np.concatenate([model.text_embed, x], axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, probs = attention_rows(model.blocks[0], h, np.array([], dtype=np.intp))
+    assert out.shape == (0, dim)
+    assert probs.shape == (heads, 0, model.config.seq_len)
+
+
+def test_zeroing_the_q_weight_in_place_changes_attention():
+    # the stack is the only copy of the weights the attention reads
+    model, x = toy_setup(4, num_blocks=1)
+    blk = model.blocks[0]
+    h = np.concatenate([model.text_embed, x], axis=0)
+    before = attention_rows(blk, h)[0]
+    blk.qkv[0] = 0.0
+    after = attention_rows(blk, h)[0]
+    assert not np.array_equal(before, after)
+    assert np.array_equal(after, attention_rows(blk, h)[0])
 
 
 def test_denoise_zero_eps():

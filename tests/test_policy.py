@@ -125,7 +125,7 @@ def test_baseline_keeps_block_outputs_only_when_it_ranks(policy, holds):
         mc.total_steps, mc.num_blocks, mc.text_tokens), mc)
     refs = []
     for step in range(2):
-        h = initial_hidden(model, x, step)
+        h = initial_hidden(model, x, step, model.text_embed)
         outputs = [block_forward(block, h, mc.text_tokens) for block in model.blocks]
         refs += [weakref.ref(o.block_out) for o in outputs]
         schedule.observe(step, outputs)

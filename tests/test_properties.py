@@ -361,9 +361,9 @@ def _per_head_attention(block, h, rows):
     """Straight-line attention, one head at a time with 2-D products:
     (attn_rows, probs) as attention_rows must return them."""
     x = _layernorm(h, block.attn_gain, block.attn_bias)
-    q = matmul(x if rows is None else x[rows], block.wq)
-    k = matmul(x, block.wk)
-    v = matmul(x, block.wv)
+    q = matmul(x if rows is None else x[rows], block.qkv[0])
+    k = matmul(x, block.qkv[1])
+    v = matmul(x, block.qkv[2])
     dh = h.shape[1] // block.num_heads
     outs, probs = [], []
     for i in range(block.num_heads):

@@ -133,6 +133,22 @@ def test_partial_attention_empty_set_is_noop():
     assert partial_attention(model.blocks[0], h, s, model.config.text_tokens).shape == (0, 32)
 
 
+def test_a_text_index_that_names_an_image_row_is_rejected():
+    # at the CLI defaults (4 text tokens) text index 5 is joint row 5, an
+    # image row, which the corgi_plus block would refresh as if it were text
+    model, x = toy_setup(0, num_blocks=1)
+    cfg = model.config
+    h = np.concatenate([model.text_embed, x], axis=0)
+    entry = block_forward(model.blocks[0], h, cfg.text_tokens)
+    s = SalientTokenSet(text_indices=(5,), image_indices=())
+    mask = np.zeros(cfg.seq_len, dtype=np.int8)
+    mask[5] = 1
+    with pytest.raises(ValueError, match="text index 5 out of range"):
+        partial_attention(model.blocks[0], h, s, cfg.text_tokens)
+    with pytest.raises(ValueError, match="text index 5 out of range"):
+        execute_block_corgi_plus(h, model.blocks[0], entry, s, mask, cfg.text_tokens)
+
+
 def test_masked_merge_semantics():
     cached = np.array([[10.0, 10.0], [20.0, 20.0]])
     fresh = np.array([[1.0, 1.0]])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corgi import SalientTokenSet, SeededRng, identify_salient, kmeans_1d_two
-from corgi.saliency import build_mask, saliency_scores, top_c_text
+from corgi.saliency import build_mask, salient_rows, saliency_scores, top_c_text
 
 
 def test_scores_are_column_maxima():
@@ -182,3 +182,31 @@ def test_build_mask_empty_and_popcount():
     s = SalientTokenSet(text_indices=(0, 2), image_indices=(0, 3))
     mask = build_mask(s, 3, 4)
     assert int(mask.sum()) == 4
+
+
+@pytest.mark.parametrize("text, image, message", [
+    ((), (-1,), "image indices"),  # would name the last text row
+    ((1, 0), (), "text indices"),
+    ((), (2, 2), "image indices"),
+    ((0.0,), (), "not all integers"),
+    ((True,), (), "not all integers"),  # would name row 1
+    ((), ("1",), "not all integers"),
+])
+def test_salient_set_rejects_bad_indices(text, image, message):
+    with pytest.raises(ValueError, match=message):
+        SalientTokenSet(text_indices=text, image_indices=image)
+
+
+def test_salient_set_takes_numpy_integers():
+    s = SalientTokenSet(text_indices=(np.int64(1),), image_indices=(np.intp(0), np.intp(2)))
+    assert salient_rows(s, 3).tolist() == [1, 3, 5]
+
+
+def test_a_text_index_past_the_text_tokens_is_rejected():
+    # text index 5 at four text tokens would name image row 1
+    s = SalientTokenSet(text_indices=(0, 5), image_indices=())
+    with pytest.raises(ValueError, match="text index 5 out of range for 4 text tokens"):
+        salient_rows(s, 4)
+    with pytest.raises(ValueError, match="text index 5"):
+        build_mask(s, 4, 16)
+    assert salient_rows(s, 6).tolist() == [0, 5]
