@@ -25,7 +25,9 @@ The array digest is the sha256 of the raw float64 bytes of every step's
 encodes its arrays, so it compares the numbers of two checkouts whose trace
 formats differ.
 After the runs come the digests of ``run_reference`` (plain, and with each
-single block pruned) and of ``analyze_model`` for every shape and seed.
+single block pruned), of ``analyze_model`` and of ``corgi compare``'s JSON
+for all six policies (``cmd_compare`` run in process, with its stdout
+captured) for every shape and seed.
 
 Two checkouts give comparable output, so
 
@@ -39,7 +41,9 @@ The sweep takes about 10 s on one core of a 2-vCPU x86 VM.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import sys
@@ -111,6 +115,11 @@ def main(argv: list[str]) -> int:
             print(f"reference {label} pruned={b} {_trajectory_digest(traj)}")
         report = json.dumps(analysis.analyze_model(m, x).to_dict())
         print(f"analyze {label} {_sha(report.encode())}")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):  # the table, then the JSON
+            cli.cmd_compare(None, {**base, "policies": ",".join(POLICIES)})
+        text = out.getvalue()
+        print(f"compare {label} {_sha(text[text.index('{'):].encode())}")
     return 0
 
 

@@ -37,13 +37,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .numerics import (
     Matrix,
     SeededRng,
+    check_int,
     derive_seed,
     ensure_matrix,
     matmul,
@@ -57,7 +58,8 @@ _GELU_SCALE = np.sqrt(2.0 / np.pi)
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Dimensions of the toy DiT and its denoising run."""
+    """Dimensions of the toy DiT and its denoising run; :meth:`validate`
+    requires each to be a Python int (see :func:`corgi.numerics.check_int`)."""
 
     num_blocks: int = 8
     hidden_dim: int = 32
@@ -68,6 +70,8 @@ class ModelConfig:
     total_steps: int = 12
 
     def validate(self) -> None:
+        for f in fields(self):
+            check_int(getattr(self, f.name), f.name)
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
         if self.total_steps < 1:
@@ -138,14 +142,15 @@ class BlockOutputs:
     block_out = input + attn_out + ffn_out holds exactly for full forwards;
     cross_map is the image-query x text-key submatrix of the head-averaged
     joint-attention map, the only part of that map any caller reads, or None
-    where the computation did not form it: :func:`run_reference` never does,
-    and the engine only at the steps where its schedule picks salient sets.
+    (the default) where the computation did not form it: a cached block
+    never does, :func:`run_reference` never does, and the engine's full
+    blocks only at the steps whose plan picks salient sets.
     """
 
     attn_out: Matrix
     ffn_out: Matrix
     block_out: Matrix
-    cross_map: Matrix | None
+    cross_map: Matrix | None = None
 
 
 @dataclass
@@ -165,9 +170,11 @@ def build_model(config: ModelConfig, seed: int) -> Model:
     Weight matrices are standard normal scaled by 1/sqrt(hidden_dim); prenorm
     gains/biases sit at identity plus the same scale of noise; the noise
     schedule is :func:`build_schedule`'s default. Bit-reproducible for a fixed
-    (config, seed).
+    (config, seed). The config is validated and the seed must be a Python
+    int; either raises ValueError before any weight is drawn.
     """
     config.validate()
+    check_int(seed, "seed")
     d, d_ff, heads = config.hidden_dim, config.ffn_dim, config.num_heads
     scale = 1.0 / np.sqrt(d)
 

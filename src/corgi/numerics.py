@@ -83,10 +83,12 @@ map at every pick, and :func:`corgi.model.block_forward` and
 :func:`corgi.runtime.masked_merge` their arrays at every block. All three
 are also spans the benchmark expects to fire, so the engine cannot call an
 unchecked private core in their place until the benchmark names it
-(ROADMAP items 1 and 6). The fourth is one comparison at every refreshed
-block and every mask: :func:`corgi.saliency.salient_rows` rejects a text
-index at or past the text tokens (the sorted tuple's last entry), which
-would name an image row. A :class:`corgi.saliency.SalientTokenSet` checks
+(ROADMAP items 1 and 6). The fourth is two comparisons at every refreshed
+block and every mask, one at each end of a salient set:
+:func:`corgi.saliency.salient_rows` rejects a text index at or past the
+text tokens, which would name an image row, and an image index at or past
+the image tokens, which would name a row past the sequence (each sorted
+tuple's last entry). A :class:`corgi.saliency.SalientTokenSet` checks
 its own indices once, when it is made. The schedules score contributions
 through ``contribution_scores``, whose unchecked core reuses each
 snapshot's Gram norms; :func:`corgi.contribution.cka` keeps its checks as
@@ -190,6 +192,16 @@ def ensure_matrix(m, name: str = "matrix") -> Matrix:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def check_int(value, name: str) -> None:
+    """Raise ValueError naming ``name`` unless value is a Python int.
+
+    Bools, floats, strings and numpy integers are refused alike: config
+    values and seeds are echoed into trace JSON, which takes no numpy scalar.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 _TILE = 8

@@ -20,7 +20,7 @@ import numpy as np
 
 from .contribution import FeatureSnapshot, contribution_scores, rank_ascending
 from .model import BlockOutputs, ModelConfig
-from .numerics import SeededRng, derive_seed
+from .numerics import SeededRng, check_int, derive_seed
 from .saliency import SalientTokenSet, build_mask, identify_salient
 
 WARMUP = "warmup"
@@ -56,7 +56,9 @@ class CorgiConfig:
     """Scheduling knobs; None fields resolve against the model at run time.
 
     warmup defaults to round(0.2 * total_steps), gamma to num_blocks // 2 and
-    top_c to max(1, round(0.1 * text_tokens)).
+    top_c to max(1, round(0.1 * text_tokens)). :meth:`resolved` requires the
+    integer fields and seed to be Python ints (see
+    :func:`corgi.numerics.check_int`) and refresh_saliency a bool.
     """
 
     policy: PolicyKind = PolicyKind.CORGI
@@ -79,6 +81,10 @@ class CorgiConfig:
             gamma=num_blocks // 2 if self.gamma is None else self.gamma,
             top_c=max(1, round(0.1 * text_tokens)) if self.top_c is None else self.top_c,
         )
+        for name in ("warmup", "interval", "gamma", "delta", "top_c", "seed"):
+            check_int(getattr(cfg, name), name)
+        if type(cfg.refresh_saliency) is not bool:
+            raise ValueError(f"refresh_saliency must be a bool, got {cfg.refresh_saliency!r}")
         if not 0 <= cfg.warmup <= total_steps:
             raise ValueError(f"warmup must be in 0..{total_steps}, got {cfg.warmup}")
         if cfg.interval < 1:
@@ -170,8 +176,9 @@ class IntervalSchedule:
     warm-up at all, the first boundary compares against itself and the
     ranking falls back to index order). corgi_plus also picks per-block
     salient sets at the first boundary (at every boundary with
-    refresh_saliency) into ``refresh`` for the engine; each pick appends one
-    ``saliency`` entry per block, tagged with its step.
+    refresh_saliency), which later plans hand the engine as their refresh;
+    each pick appends one ``saliency`` entry per block, tagged with its step.
+    ``plan`` records in ``picking`` whether its step picks, for ``observe``.
     """
 
     def __init__(self, rcfg: CorgiConfig, mc: ModelConfig):
@@ -183,25 +190,21 @@ class IntervalSchedule:
         self.contributions: list[dict] = []
         self.saliency: list[dict] | None = None
         self.refresh: list[tuple[SalientTokenSet, np.ndarray]] | None = None
+        self.picking = False
 
-    def label(self, step: int) -> str:
-        return self.roles[step].label()
-
-    def directive(self, step: int) -> set[int]:
+    def plan(self, step: int) -> tuple[str, set[int], list | None, bool]:
+        rcfg = self.rcfg
         role = self.roles[step]
-        if role.kind != INTRA:
-            return set()
-        rcfg = self.rcfg
-        count = cached_count(role.offset, rcfg.gamma, rcfg.delta, self.mc.num_blocks)
-        return select_cached(self.ranking, count)
-
-    def reads_cross_maps(self, step: int) -> bool:
-        rcfg = self.rcfg
-        return (
+        self.picking = (
             rcfg.policy == PolicyKind.CORGI_PLUS
-            and self.roles[step].kind == BOUNDARY
+            and role.kind == BOUNDARY
             and (self.refresh is None or rcfg.refresh_saliency)
         )
+        cached = set()
+        if role.kind == INTRA:
+            count = cached_count(role.offset, rcfg.gamma, rcfg.delta, self.mc.num_blocks)
+            cached = select_cached(self.ranking, count)
+        return role.label(), cached, self.refresh, self.picking
 
     def observe(self, step: int, outputs: list[BlockOutputs]) -> None:
         rcfg = self.rcfg
@@ -212,7 +215,7 @@ class IntervalSchedule:
             self.ranking = rank_ascending(scores)
             self.contributions.append({"step": step, "scores": [float(v) for v in scores]})
             self.snapshot = block_outs
-            if self.reads_cross_maps(step):
+            if self.picking:
                 mc = self.mc
                 picks = [identify_salient(o.cross_map, rcfg.top_c) for o in outputs]
                 self.refresh = [
@@ -242,14 +245,10 @@ class BaselineSchedule:
         self.previous: tuple[FeatureSnapshot | None, FeatureSnapshot | None] = (None, None)
         self.contributions: list[dict] = []
         self.saliency: list[dict] | None = None
-        self.refresh: list[tuple[SalientTokenSet, np.ndarray]] | None = None
 
-    def label(self, step: int) -> str:
+    def plan(self, step: int) -> tuple[str, set[int], None, bool]:
         rcfg = self.rcfg
-        return WARMUP if step < rcfg.warmup and rcfg.policy != PolicyKind.NONE else "step"
-
-    def directive(self, step: int) -> set[int]:
-        rcfg = self.rcfg
+        label = WARMUP if step < rcfg.warmup and rcfg.policy != PolicyKind.NONE else "step"
         ranking = None
         if rcfg.policy == PolicyKind.PER_STEP_NAIVE and step >= rcfg.warmup:
             older, newer = self.previous
@@ -257,13 +256,11 @@ class BaselineSchedule:
                 ranking = list(range(self.num_blocks))
             else:
                 ranking = rank_ascending(contribution_scores(older, newer))
-        return baseline_directives(
+        cached = baseline_directives(
             rcfg.policy, step, rcfg.warmup, self.num_blocks,
             ranking=ranking, parity=rcfg.parity, rng=self.rng,
         )
-
-    def reads_cross_maps(self, step: int) -> bool:
-        return False
+        return label, cached, None, False
 
     def observe(self, step: int, outputs: list[BlockOutputs]) -> None:
         if self.rcfg.policy == PolicyKind.PER_STEP_NAIVE:  # the only baseline that reads them
@@ -273,16 +270,17 @@ class BaselineSchedule:
 def make_schedule(rcfg: CorgiConfig, mc: ModelConfig) -> IntervalSchedule | BaselineSchedule:
     """The schedule object of a resolved config's policy.
 
-    A schedule answers ``directive(step)`` (blocks to serve from the cache),
-    ``label(step)`` (the step's role), ``reads_cross_maps(step)`` (whether
-    observing the step picks salient sets, which read its blocks' cross
-    maps: corgi_plus's first boundary, or every boundary with
-    refresh_saliency) and ``observe(step, outputs)`` (the step's per-block
-    outputs, after it ran), and carries ``contributions``
-    (per-boundary scores), ``saliency`` (one entry per block and salient-set
-    pick, or None when no set was picked) and ``refresh``: per block, the
-    salient set in force and its row mask, or None when cached blocks replay
-    whole.
+    The engine asks a schedule one question before each step and tells it
+    one thing after: ``plan(step)`` returns ``(label, cached, refresh,
+    reads_cross_maps)``, that is, the step's role, the blocks to serve from
+    the cache, per block the salient set in force and its row mask (None
+    when cached blocks replay whole), and whether observing the step picks
+    salient sets, which read its full blocks' cross maps (corgi_plus's first
+    boundary, or every boundary with refresh_saliency); ``observe(step,
+    outputs)`` hands it the step's per-block outputs once the step ran.
+    After the last step the engine reads ``contributions`` (per-boundary
+    scores) and ``saliency`` (one entry per block and salient-set pick, or
+    None when no set was picked).
     """
     if rcfg.policy in (PolicyKind.CORGI, PolicyKind.CORGI_PLUS):
         return IntervalSchedule(rcfg, mc)

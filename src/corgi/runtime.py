@@ -1,10 +1,11 @@
 """Policy-agnostic cached execution engine for the toy DiT.
 
 :func:`run_with_policy` drives a schedule object from :mod:`corgi.policy`
-through the denoising loop. At each step it asks the schedule which blocks
-to serve from the cache, runs every block, and hands the step's block
-outputs back; all policy state lives in the schedule. The cache holds, per
-block, the :class:`BlockOutputs` of its last full computation at step t-hat.
+through the denoising loop. Before each step it asks the schedule for the
+step's plan (which blocks to serve from the cache, among other things), runs
+every block, and hands the step's block outputs back; all policy state lives
+in the schedule. The cache holds, per block, the :class:`BlockOutputs` of its
+last full computation at step t-hat.
 
 Cache semantics follow the additive block decomposition: a cached block
 reuses its stored ATTN and FFN outputs while the residual stream is
@@ -16,7 +17,7 @@ with the ablation variant that replays the entire stored block output,
 
     out = h_that + attn_cached + ffn_cached         (reuse-residual)
 
-When the schedule carries a salient refresh (corgi_plus), a cached block
+When the plan carries a salient refresh (corgi_plus), a cached block
 instead recomputes attention rows for its salient set only and merges them
 into the cached ATTN output through a binary mask; the FFN term stays cached
 and the residual is always fresh.
@@ -57,9 +58,9 @@ from .saliency import SalientTokenSet, salient_rows
 
 
 def execute_block_cached(
-    h: Matrix, block: Block, entry: BlockOutputs, strategy: str
+    h: Matrix, entry: BlockOutputs, strategy: str
 ) -> BlockOutputs:
-    """Run one cached block; the cross map is echoed stale from the entry.
+    """Run one cached block from its cache entry alone; it forms no cross map.
 
     Unchecked: the engine passes an L x d state and a strategy that
     :meth:`CorgiConfig.resolved` validated.
@@ -69,7 +70,6 @@ def execute_block_cached(
         attn_out=entry.attn_out,
         ffn_out=entry.ffn_out,
         block_out=out,
-        cross_map=entry.cross_map,
     )
 
 
@@ -78,10 +78,11 @@ def partial_attention(block: Block, h: Matrix, s: SalientTokenSet, text_tokens: 
 
     Keys/values come from the full current hidden state; only queries, scores
     and the output projection are restricted, so each returned row is
-    bit-equal to the same row of a full attention evaluation. h is not
-    checked: non-finite rows of h propagate into non-finite output rows.
+    bit-equal to the same row of a full attention evaluation. The set's
+    indices are checked against h's token counts (:func:`salient_rows`); h
+    itself is not: non-finite rows of h propagate into non-finite output rows.
     """
-    out, _ = attention_rows(block, h, salient_rows(s, text_tokens))
+    out, _ = attention_rows(block, h, salient_rows(s, text_tokens, h.shape[0] - text_tokens))
     return out
 
 
@@ -115,7 +116,8 @@ def execute_block_corgi_plus(
     """Cached block with salient-row attention refresh.
 
     attn term = masked merge of fresh salient rows into the cached ATTN
-    output; FFN stays cached; the residual stream is always recomputed.
+    output; FFN stays cached; the residual stream is always recomputed. It
+    forms no cross map.
     """
     fresh = partial_attention(block, h, s, text_tokens)
     merged = masked_merge(fresh, entry.attn_out, mask)
@@ -124,7 +126,6 @@ def execute_block_corgi_plus(
         attn_out=merged,
         ffn_out=entry.ffn_out,
         block_out=out,
-        cross_map=entry.cross_map,
     )
 
 
@@ -151,7 +152,8 @@ def _decode_array(d: dict) -> Matrix:
 
 @dataclass
 class StepRecord:
-    """One step of a policy run: directive, per-block modes, outputs."""
+    """One step of a policy run: its role, cached blocks, per-block modes,
+    outputs."""
 
     step: int
     role: str
@@ -273,17 +275,19 @@ def run_with_policy(
 ) -> Trace:
     """Execute T denoising steps under a caching policy and emit a Trace.
 
-    The policy's schedule (:func:`corgi.policy.make_schedule`) names the
-    blocks to serve from the cache at each step and observes the step's
-    block outputs afterwards. Every other block is computed in full and
-    refreshes its cache entry. A directive that lands on a never-filled
-    entry (only possible at step 0 with warmup=0) falls back to full
-    computation. Cached blocks run through :func:`execute_block_corgi_plus`
-    when the schedule carries a salient refresh, else through
-    :func:`execute_block_cached` with the configured residual strategy.
-    Full blocks form their cross maps only at the steps whose observation
-    reads them (the schedule's ``reads_cross_maps``); elsewhere the entries
-    hold None, and cached blocks echo that.
+    The policy's schedule (:func:`corgi.policy.make_schedule`) plans each
+    step once, before its first block: the step's role, the blocks to serve
+    from the cache, the salient refresh in force and whether the step's
+    cross maps are read. It observes the step's block outputs afterwards.
+    Every other block is computed in full and refreshes its cache entry. A
+    planned block whose entry was never filled (only possible at step 0 with
+    warmup=0) falls back to full computation. Cached blocks run through
+    :func:`execute_block_corgi_plus` when the plan carries a salient refresh,
+    else through :func:`execute_block_cached` with the configured residual
+    strategy.
+    Full blocks form their cross maps only at the steps whose plan says the
+    observation reads them; elsewhere, and on every cached block, the map is
+    None.
     The config and the arrays are checked here, once, before step 0.
     """
     mc = model.config
@@ -295,17 +299,15 @@ def run_with_policy(
     records: list[StepRecord] = []
 
     for s in range(mc.total_steps):
-        directive = schedule.directive(s)
-        refresh = schedule.refresh
-        with_cross_map = schedule.reads_cross_maps(s)
+        role, cached, refresh, with_cross_map = schedule.plan(s)
         h = initial_hidden(model, x, s, text_embed)
         modes: list[str] = []
         step_outputs: list[BlockOutputs] = []
         for b, block in enumerate(model.blocks):
             entry = cache[b]
-            if b in directive and entry is not None:
+            if b in cached and entry is not None:
                 if refresh is None:
-                    outs = execute_block_cached(h, block, entry, rcfg.residual)
+                    outs = execute_block_cached(h, entry, rcfg.residual)
                     mode = MODE_CACHED
                 else:
                     outs = execute_block_corgi_plus(h, block, entry, *refresh[b], mc.text_tokens)
@@ -324,7 +326,7 @@ def run_with_policy(
         records.append(
             StepRecord(
                 step=s,
-                role=schedule.label(s),
+                role=role,
                 cached=tuple(b for b, m in enumerate(modes) if m != MODE_FULL),
                 modes=tuple(modes),
                 checksum=state_checksum(h),

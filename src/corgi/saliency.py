@@ -110,25 +110,25 @@ def identify_salient(cross_map: Matrix, c: int) -> SalientTokenSet:
     return SalientTokenSet(text_indices=text, image_indices=tuple(sorted(image)))
 
 
-def salient_rows(s: SalientTokenSet, text_tokens: int) -> np.ndarray:
+def salient_rows(s: SalientTokenSet, text_tokens: int, image_tokens: int) -> np.ndarray:
     """Joint-sequence row indices of a salient set, ascending: text rows
     first, then image rows, each in the set's own ascending order. A text
-    index of text_tokens or more would name an image row, so it raises
-    ValueError."""
+    index of text_tokens or more would name an image row and an image index
+    of image_tokens or more a row past the sequence, so each raises
+    ValueError (one comparison per tuple: its last entry is its largest)."""
     if s.text_indices and s.text_indices[-1] >= text_tokens:
         last = s.text_indices[-1]
         raise ValueError(f"text index {last} out of range for {text_tokens} text tokens")
+    if s.image_indices and s.image_indices[-1] >= image_tokens:
+        last = s.image_indices[-1]
+        raise ValueError(f"image index {last} out of range for {image_tokens} image tokens")
     rows = list(s.text_indices) + [text_tokens + v for v in s.image_indices]
     return np.array(rows, dtype=np.intp)
 
 
 def build_mask(s: SalientTokenSet, text_tokens: int, image_tokens: int) -> np.ndarray:
-    """Binary mask over the joint sequence: 1 on the :func:`salient_rows`.
-
-    Unchecked beyond :func:`salient_rows`: the set comes from
-    :func:`identify_salient` on a block's image x text cross map, so its
-    image indices lie in range.
-    """
+    """Binary mask over the joint sequence: 1 on the :func:`salient_rows`,
+    which check the set's indices against both token counts."""
     mask = np.zeros(text_tokens + image_tokens, dtype=np.int8)
-    mask[salient_rows(s, text_tokens)] = 1
+    mask[salient_rows(s, text_tokens, image_tokens)] = 1
     return mask

@@ -204,16 +204,26 @@ def _pick_steps(rcfg, total_steps):
 @given(tiny_setups())
 def test_cross_maps_are_formed_only_where_a_pick_reads_them(setup):
     # every full block's call is logged with the step it ran at (the number
-    # of denoising updates before it) and whether it formed a cross map
+    # of denoising updates before it) and whether it formed a cross map;
+    # every cached block's output is logged too, and none carries a map
     model, x = setup
     mc = model.config
     formed = []
+    cached_maps = []
     steps = [0]
 
     def spy_forward(*args, **kwargs):
         outs = real_forward(*args, **kwargs)
         formed.append((steps[0], outs.cross_map is not None))
         return outs
+
+    def spy_cached(real):
+        def cached(*args):
+            outs = real(*args)
+            cached_maps.append(outs.cross_map)
+            return outs
+
+        return cached
 
     def spy_denoise(*args):
         steps[0] += 1
@@ -224,8 +234,11 @@ def test_cross_maps_are_formed_only_where_a_pick_reads_them(setup):
         for module in (corgi.model, corgi.runtime):
             mp.setattr(module, "block_forward", spy_forward)
             mp.setattr(module, "denoise_step_mean", spy_denoise)
+        for name in ("execute_block_cached", "execute_block_corgi_plus"):
+            mp.setattr(corgi.runtime, name, spy_cached(getattr(corgi.runtime, name)))
         for policy, warmup, refresh in itertools.product(PolicyKind, (None, 0), (False, True)):
             formed.clear()
+            cached_maps.clear()
             steps[0] = 0
             cfg = CorgiConfig(policy=policy, warmup=warmup, refresh_saliency=refresh)
             trace = run_with_policy(model, x, None, cfg)
@@ -234,12 +247,53 @@ def test_cross_maps_are_formed_only_where_a_pick_reads_them(setup):
             # a pick step computes every block in full, and each forms its map
             assert sum(made for _, made in formed) == len(picks) * mc.num_blocks
             assert sorted({e["step"] for e in trace.saliency or ()}) == picks
+            assert len(cached_maps) == sum(len(r.cached) for r in trace.steps)
+            assert all(m is None for m in cached_maps)
         formed.clear()
         run_reference(model, x)
         run_reference(model, x, pruned_blocks={0})
         if mc.total_steps > 1:
             analyze_model(model, x)
         assert formed and not any(made for _, made in formed)
+
+
+class _RecordingSchedule:
+    """A schedule behind a proxy that logs every member read from it, and
+    each plan and observe call with its step."""
+
+    def __init__(self, inner, log):
+        self._inner, self._log = inner, log
+
+    def __getattr__(self, name):
+        value = getattr(self._inner, name)
+        if name not in ("plan", "observe"):
+            self._log.append((name,))
+            return value
+
+        def call(step, *args):
+            self._log.append((name, step))
+            return value(step, *args)
+
+        return call
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(tiny_setups())
+def test_the_engine_asks_a_schedule_one_plan_and_one_observe_per_step(setup):
+    model, x = setup
+    log = []
+    real = corgi.runtime.make_schedule
+    loop = [(name, s) for s in range(model.config.total_steps) for name in ("plan", "observe")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corgi.runtime, "make_schedule", lambda *a: _RecordingSchedule(real(*a), log))
+        for policy, warmup, refresh in itertools.product(PolicyKind, (None, 0), (False, True)):
+            log.clear()
+            run_with_policy(model, x, None, CorgiConfig(
+                policy=policy, warmup=warmup, refresh_saliency=refresh,
+            ))
+            assert log[: len(loop)] == loop
+            # after the loop, only the records the trace takes
+            assert sorted(log[len(loop) :]) == [("contributions",), ("saliency",)]
 
 
 @st.composite

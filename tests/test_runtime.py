@@ -8,12 +8,14 @@ import pytest
 
 from corgi import (
     CorgiConfig,
+    ModelConfig,
     PolicyKind,
     SalientTokenSet,
     SeededRng,
     Trace,
     analyze_model,
     block_forward,
+    build_model,
     masked_merge,
     partial_attention,
     run_reference,
@@ -37,7 +39,6 @@ def _entry(attn, ffn, h_cached):
         attn_out=attn,
         ffn_out=ffn,
         block_out=(h_cached + attn) + ffn,
-        cross_map=np.zeros((0, attn.shape[0])),
     )
 
 
@@ -45,21 +46,19 @@ def test_cached_zero_outputs_pass_hidden_state_through():
     model, x = toy_setup(0, num_blocks=1)
     h = np.concatenate([model.text_embed, x], axis=0)
     entry = _entry(np.zeros_like(h), np.zeros_like(h), np.zeros_like(h))
-    out = execute_block_cached(h, model.blocks[0], entry, "compute")
+    out = execute_block_cached(h, entry, "compute")
     assert np.array_equal(out.block_out, h)
 
 
 def test_cached_hand_scalars():
-    blk = toy_setup(0, num_blocks=1, hidden_dim=1, ffn_dim=1, num_heads=1,
-                    text_tokens=1, image_tokens=1)[0].blocks[0]
     entry = _entry([[0.3]], [[0.1]], [[1.0]])
     h = np.array([[2.0]])
-    compute = execute_block_cached(h, blk, entry, "compute")
+    compute = execute_block_cached(h, entry, "compute")
     assert compute.block_out[0, 0] == pytest.approx(2.4, abs=1e-15)
-    reuse = execute_block_cached(h, blk, entry, "reuse")
+    reuse = execute_block_cached(h, entry, "reuse")
     assert reuse.block_out[0, 0] == pytest.approx(1.4, abs=1e-15)
     # reuse ignores the current hidden state entirely
-    other = execute_block_cached(np.array([[7.0]]), blk, entry, "reuse")
+    other = execute_block_cached(np.array([[7.0]]), entry, "reuse")
     assert other.block_out[0, 0] == reuse.block_out[0, 0]
 
 
@@ -70,7 +69,7 @@ def test_compute_residual_adds_exactly_the_cached_terms():
     outs = block_forward(model.blocks[0], h0, cfg.text_tokens)
     entry = _entry(outs.attn_out, outs.ffn_out, h0)
     h1 = h0 * 0.9 - 0.3
-    got = execute_block_cached(h1, model.blocks[0], entry, "compute")
+    got = execute_block_cached(h1, entry, "compute")
     assert np.array_equal(got.block_out, (h1 + entry.attn_out) + entry.ffn_out)
     assert np.array_equal(got.attn_out, entry.attn_out)
     assert np.array_equal(got.ffn_out, entry.ffn_out)
@@ -149,6 +148,29 @@ def test_a_text_index_that_names_an_image_row_is_rejected():
         execute_block_corgi_plus(h, model.blocks[0], entry, s, mask, cfg.text_tokens)
 
 
+def test_an_image_index_past_the_image_tokens_is_rejected():
+    # at the CLI defaults (4 + 16 tokens) image index 16 is joint row 20, one
+    # past the sequence
+    model, x = toy_setup(0, num_blocks=1)
+    cfg = model.config
+    block = model.blocks[0]
+    h = np.concatenate([model.text_embed, x], axis=0)
+    entry = block_forward(block, h, cfg.text_tokens)
+    s = SalientTokenSet(text_indices=(0,), image_indices=(16,))
+    mask = np.zeros(cfg.seq_len, dtype=np.int8)
+    mask[0] = 1
+    message = "image index 16 out of range for 16 image tokens"
+    with pytest.raises(ValueError, match=message):
+        partial_attention(block, h, s, cfg.text_tokens)
+    with pytest.raises(ValueError, match=message):
+        build_mask(s, cfg.text_tokens, cfg.image_tokens)
+    with pytest.raises(ValueError, match=message):
+        execute_block_corgi_plus(h, block, entry, s, mask, cfg.text_tokens)
+    last = SalientTokenSet(text_indices=(0,), image_indices=(15,))
+    assert build_mask(last, cfg.text_tokens, cfg.image_tokens)[-1] == 1
+    assert partial_attention(block, h, last, cfg.text_tokens).shape == (2, cfg.hidden_dim)
+
+
 def test_masked_merge_semantics():
     cached = np.array([[10.0, 10.0], [20.0, 20.0]])
     fresh = np.array([[1.0, 1.0]])
@@ -178,7 +200,7 @@ def test_corgi_plus_block_empty_set_equals_plain_cached():
     s = SalientTokenSet(text_indices=(), image_indices=())
     mask = build_mask(s, cfg.text_tokens, cfg.image_tokens)
     got = execute_block_corgi_plus(h + 0.5, model.blocks[0], entry, s, mask, cfg.text_tokens)
-    want = execute_block_cached(h + 0.5, model.blocks[0], entry, "compute")
+    want = execute_block_cached(h + 0.5, entry, "compute")
     assert np.array_equal(got.block_out, want.block_out)
 
 
@@ -400,6 +422,49 @@ def test_model_config_mismatch_rejected_before_step_zero():
         run_with_policy(model, x[:3], None, CorgiConfig())
 
 
+def _run(**fields):
+    return lambda model, x: run_with_policy(model, x, None, CorgiConfig(**fields))
+
+
+# values the CLI's typed flags never produce, but the library API used to let
+# through: a float failed at the first intra step, a numpy integer at
+# Trace.to_json, a bool or a truthy string ran on silently
+_MISTYPED = {
+    "gamma-float": (_run(gamma=2.5), "gamma"),
+    "warmup-int64": (_run(warmup=np.int64(2)), "warmup"),
+    "gamma-bool": (_run(gamma=True), "gamma"),
+    "top_c-str": (_run(top_c="2"), "top_c"),
+    "seed-int64": (_run(policy=PolicyKind.RANDOM, seed=np.int64(1)), "seed"),
+    "refresh_saliency-str": (_run(policy=PolicyKind.CORGI_PLUS, refresh_saliency="false"),
+                             "refresh_saliency"),
+    "num_blocks-int64": (lambda model, x: build_model(ModelConfig(num_blocks=np.int64(4)), 0),
+                         "num_blocks"),
+    "num_blocks-bool": (lambda model, x: build_model(ModelConfig(num_blocks=True), 0),
+                        "num_blocks"),
+    "model-seed-int64": (lambda model, x: build_model(ModelConfig(), seed=np.int64(1)), "seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISTYPED))
+def test_a_mistyped_config_value_is_rejected_by_name_before_any_block_runs(monkeypatch, case):
+    import corgi.model as model_module
+    import corgi.runtime as runtime
+
+    call, field = _MISTYPED[case]
+    model, x = toy_setup(0)
+    real, calls = model_module.block_forward, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (model_module, runtime):
+        monkeypatch.setattr(module, "block_forward", counting)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        call(model, x)
+    assert calls == []
+
+
 _ENTRY_POINTS = {
     "run_with_policy": lambda model, x, text: run_with_policy(model, x, text, CorgiConfig()),
     "run_reference": run_reference,
@@ -607,7 +672,7 @@ def test_hot_paths_never_write_to_their_inputs():
     ffn_forward(block, h)
     softmax_rows(h)
     for residual in ("compute", "reuse"):
-        execute_block_cached(h, block, entry, residual)
+        execute_block_cached(h, entry, residual)
     s = SalientTokenSet(text_indices=(0, 2), image_indices=(1, 4, 9))
     mask = _read_only(build_mask(s, mc.text_tokens, mc.image_tokens))
     execute_block_corgi_plus(h, block, entry, s, mask, mc.text_tokens)

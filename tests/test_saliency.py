@@ -199,14 +199,14 @@ def test_salient_set_rejects_bad_indices(text, image, message):
 
 def test_salient_set_takes_numpy_integers():
     s = SalientTokenSet(text_indices=(np.int64(1),), image_indices=(np.intp(0), np.intp(2)))
-    assert salient_rows(s, 3).tolist() == [1, 3, 5]
+    assert salient_rows(s, 3, 3).tolist() == [1, 3, 5]
 
 
 def test_a_text_index_past_the_text_tokens_is_rejected():
     # text index 5 at four text tokens would name image row 1
     s = SalientTokenSet(text_indices=(0, 5), image_indices=())
     with pytest.raises(ValueError, match="text index 5 out of range for 4 text tokens"):
-        salient_rows(s, 4)
+        salient_rows(s, 4, 16)
     with pytest.raises(ValueError, match="text index 5"):
         build_mask(s, 4, 16)
-    assert salient_rows(s, 6).tolist() == [0, 5]
+    assert salient_rows(s, 6, 16).tolist() == [0, 5]
