@@ -14,20 +14,23 @@ one plain copy. The other shapes' sequences (20, 11, 17) take the padded
 copy. Each run
 prints one line: its config, the sha256 of ``Trace.to_json()`` with
 ``created_at`` blanked, a decision digest and an array digest. The decision
-digest covers the same JSON without the numbers a kernel change moves in
-their low-order bits (each step's ``noise_pred`` and ``checksum``,
-``final_output``) and without the format tag ``schema``, and with each
-boundary's contribution scores replaced by their ascending ranking, which is
-all a policy reads from them. So it covers the config echo, every step's
-role, cached blocks and modes, the rankings, the salient sets and the cost.
+digest is built from the trace's attributes, not from its JSON, so it does
+not depend on the trace format: the config echo, every step's ``step``,
+``role`` and ``modes``, each boundary's contribution scores replaced by
+their ascending ranking (all a policy reads from them), and the salient
+sets. It leaves out the numbers a kernel change moves in their low-order
+bits (each step's ``noise_pred`` and ``checksum``, ``final_output``). The
+cached blocks, ``equivalent_to_reference`` and the cost are functions of the
+modes, the salient sets and the config echo, so no decision goes uncovered.
 The array digest is the sha256 of the raw float64 bytes of every step's
 ``noise_pred`` and of ``final_output``; it does not depend on how a trace
 encodes its arrays, so it compares the numbers of two checkouts whose trace
 formats differ.
 After the runs come the digests of ``run_reference`` (plain, and with each
 single block pruned), of ``analyze_model`` and of ``corgi compare``'s JSON
-for all six policies (``cmd_compare`` run in process, with its stdout
-captured) for every shape and seed.
+for all six policies (``cmd_compare`` run in process: its whole stdout,
+with the table on stderr discarded) for every shape and seed. A checkout
+whose ``compare`` prints its table on stdout digests the table too.
 
 Two checkouts give comparable output, so
 
@@ -71,13 +74,15 @@ def _sha(data: bytes) -> str:
 
 
 def _decision_digest(trace) -> str:
-    d = trace.to_dict()
-    del d["schema"], d["final_output"]
-    d["steps"] = [{k: v for k, v in r.items() if k not in ("noise_pred", "checksum")} for r in d["steps"]]
-    d["contributions"] = [
-        {**c, "scores": sorted(range(len(c["scores"])), key=c["scores"].__getitem__)}
-        for c in d["contributions"]
-    ]
+    d = {
+        "config": trace.config,
+        "steps": [{"step": r.step, "role": r.role, "modes": r.modes} for r in trace.steps],
+        "contributions": [
+            {**c, "scores": sorted(range(len(c["scores"])), key=c["scores"].__getitem__)}
+            for c in trace.contributions
+        ],
+        "saliency": trace.saliency,
+    }
     return _sha(json.dumps(d).encode())
 
 
@@ -116,10 +121,9 @@ def main(argv: list[str]) -> int:
         report = json.dumps(analysis.analyze_model(m, x).to_dict())
         print(f"analyze {label} {_sha(report.encode())}")
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):  # the table, then the JSON
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             cli.cmd_compare(None, {**base, "policies": ",".join(POLICIES)})
-        text = out.getvalue()
-        print(f"compare {label} {_sha(text[text.index('{'):].encode())}")
+        print(f"compare {label} {_sha(out.getvalue().encode())}")
     return 0
 
 

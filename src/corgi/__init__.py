@@ -26,7 +26,6 @@ from .numerics import SeededRng, derive_seed
 from .policy import CorgiConfig, PolicyKind, cached_count, plan_steps
 from .runtime import (
     Trace,
-    cost_report,
     masked_merge,
     partial_attention,
     run_with_policy,

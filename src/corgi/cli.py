@@ -173,7 +173,7 @@ def _emit(cfg: dict, text: str) -> None:
 
 
 def _color(s: str, code: str) -> str:
-    if os.environ.get("COLOR") == "0" or not sys.stdout.isatty():
+    if os.environ.get("COLOR") == "0" or not sys.stderr.isatty():
         return s
     return f"\x1b[{code}m{s}\x1b[0m"
 
@@ -206,8 +206,7 @@ def cmd_compare(parser: argparse.ArgumentParser, cfg: dict) -> int:
     for p in policies:  # sequential, report assembled in list order
         trace = run_with_policy(model, x_init, None, policy_config(cfg, p))
         div = divergence(trace, reference)
-        cost = {k: v for k, v in asdict(trace.cost).items() if k != "per_step"}
-        rows.append({"policy": p, **cost, **asdict(div)})
+        rows.append({"policy": p, **asdict(trace.cost), **asdict(div)})
 
     header = f"{'policy':<16} {'speedup':>8} {'blocks':>9} {'final_mse':>12} {'final_cos':>10}"
     lines = [header, "-" * len(header)]
@@ -221,7 +220,7 @@ def cmd_compare(parser: argparse.ArgumentParser, cfg: dict) -> int:
             f"{r['blocks_computed']}/{r['blocks_total']:>4} "
             f"{r['final_mse']:>12.4e} {r['final_cosine']:>10.6f}"
         )
-    print("\n".join(lines))
+    print("\n".join(lines), file=sys.stderr)
     _emit(cfg, json.dumps({"schema": "corgi-compare/1", "runs": rows}, indent=2) + "\n")
     return 0
 

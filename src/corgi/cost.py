@@ -25,12 +25,12 @@ residual additions of each cached or cached_partial block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MODE_FULL = "full"
 MODE_CACHED = "cached"
 MODE_CACHED_PARTIAL = "cached_partial"
-_MODES = (MODE_FULL, MODE_CACHED, MODE_CACHED_PARTIAL)
+MODES = (MODE_FULL, MODE_CACHED, MODE_CACHED_PARTIAL)
 
 
 def flops_attn_full(seq_len: int, dim: int) -> int:
@@ -81,7 +81,6 @@ class CostReport:
     blocks_total: int
     blocks_computed: int
     block_speedup: float
-    per_step: list[dict] = field(default_factory=list)
 
 
 def build_cost_report(
@@ -104,32 +103,19 @@ def build_cost_report(
     full_block = flops_block(seq_len, dim, ffn_dim, MODE_FULL)
     cached_block = flops_block(seq_len, dim, ffn_dim, MODE_CACHED)
     head = image_tokens * dim * dim
-    per_step = []
     actual = 0
     computed = 0
     for step, modes in enumerate(step_modes):
         full, cached = modes.count(MODE_FULL), modes.count(MODE_CACHED)
-        # only a partial block's cost varies, with its salient-set size
-        partial = [b for b, mode in enumerate(modes) if mode == MODE_CACHED_PARTIAL]
-        if full + cached + len(partial) != len(modes):
-            unknown = next(m for m in modes if m not in _MODES)
-            raise ValueError(f"unknown mode {unknown!r}")
-        step_flops = head + full * full_block + cached * cached_block
-        for b in partial:
-            step_flops += flops_block(
-                seq_len, dim, ffn_dim, MODE_CACHED_PARTIAL, salient=salient_sizes.get((step, b), 0)
-            )
+        actual += head + full * full_block + cached * cached_block
+        # only a partial block's cost varies, with its salient-set size; an
+        # unknown mode is rejected by flops_block
+        for b, mode in enumerate(modes):
+            if mode not in (MODE_FULL, MODE_CACHED):
+                actual += flops_block(
+                    seq_len, dim, ffn_dim, mode, salient=salient_sizes.get((step, b), 0)
+                )
         computed += full
-        actual += step_flops
-        per_step.append(
-            {
-                "step": step,
-                "flops": step_flops,
-                "full": full,
-                "cached": cached,
-                "cached_partial": len(partial),
-            }
-        )
     num_blocks = len(step_modes[0]) if step_modes else 0
     total_blocks = len(step_modes) * num_blocks
     flops_full = total_blocks * full_block + len(step_modes) * head
@@ -140,5 +126,4 @@ def build_cost_report(
         blocks_total=total_blocks,
         blocks_computed=computed,
         block_speedup=total_blocks / computed if computed else float("inf"),
-        per_step=per_step,
     )

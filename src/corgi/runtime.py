@@ -28,7 +28,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -37,6 +37,7 @@ from .cost import (
     MODE_CACHED,
     MODE_CACHED_PARTIAL,
     MODE_FULL,
+    MODES,
     CostReport,
     build_cost_report,
 )
@@ -129,7 +130,7 @@ def execute_block_corgi_plus(
     )
 
 
-TRACE_SCHEMA = "corgi-trace/2"
+TRACE_SCHEMA = "corgi-trace/3"
 
 
 def _encode_array(a: Matrix) -> dict:
@@ -150,26 +151,35 @@ def _decode_array(d: dict) -> Matrix:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
+def _field_values(record) -> dict:
+    """A dataclass record's fields by name, in declaration order; properties
+    are not fields."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 @dataclass
 class StepRecord:
-    """One step of a policy run: its role, cached blocks, per-block modes,
-    outputs."""
+    """One step of a policy run: its role, per-block modes and outputs. The
+    cached blocks derive from the modes."""
 
     step: int
     role: str
-    cached: tuple[int, ...]
     modes: tuple[str, ...]
     checksum: str
     noise_pred: Matrix
 
+    @property
+    def cached(self) -> tuple[int, ...]:
+        """The blocks served from the cache: every block whose mode is not full."""
+        return tuple(b for b, m in enumerate(self.modes) if m != MODE_FULL)
+
     def to_dict(self) -> dict:
-        return {**vars(self), "noise_pred": _encode_array(self.noise_pred)}
+        return {**_field_values(self), "noise_pred": _encode_array(self.noise_pred)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepRecord":
         return cls(**{
             **d,
-            "cached": tuple(d["cached"]),
             "modes": tuple(d["modes"]),
             "noise_pred": _decode_array(d["noise_pred"]),
         })
@@ -177,10 +187,13 @@ class StepRecord:
 
 @dataclass
 class Trace:
-    """Serializable record of one policy run.
+    """Serializable record of one policy run: what it decided and produced.
 
-    JSON keys follow the fields of Trace, StepRecord and CostReport in
-    declaration order; only arrays and nested records are converted.
+    JSON keys follow the fields of Trace and StepRecord in declaration order;
+    only arrays and nested records are converted. ``cost``,
+    ``equivalent_to_reference`` and each step's ``cached`` are derived from
+    the modes, the salient-set picks and the config echo each time they are
+    read, and are not stored.
     """
 
     schema: str
@@ -190,33 +203,71 @@ class Trace:
     contributions: list[dict]
     saliency: list[dict] | None
     final_output: Matrix
-    cost: CostReport
-    equivalent_to_reference: bool
 
     @property
     def noise_preds(self) -> list[Matrix]:
         return [r.noise_pred for r in self.steps]
 
+    @property
+    def equivalent_to_reference(self) -> bool:
+        """No step served a block from the cache."""
+        return not any(r.cached for r in self.steps)
+
+    @property
+    def cost(self) -> CostReport:
+        """Analytic cost of the run, from its step modes and its salient-set
+        picks alone. It is computed each time it is read, so it follows any
+        edit of those fields."""
+        model = self.config["model"]
+        # each pick holds from its step until the block's next pick (entries come
+        # in step order, so a later pick overwrites an earlier one)
+        salient_sizes = {}
+        for entry in self.saliency or ():
+            size = len(entry["text"]) + len(entry["image"])
+            for step in range(entry["step"], len(self.steps)):
+                salient_sizes[(step, entry["block"])] = size
+        return build_cost_report(
+            [list(r.modes) for r in self.steps],
+            model["text_tokens"] + model["image_tokens"],
+            model["hidden_dim"],
+            model["ffn_dim"],
+            model["image_tokens"],
+            salient_sizes,
+        )
+
     def to_dict(self) -> dict:
         return {
-            **vars(self),
+            **_field_values(self),
             "steps": [r.to_dict() for r in self.steps],
             "final_output": _encode_array(self.final_output),
-            "cost": asdict(self.cost),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trace":
+        """Load a trace. Rejects any schema but :data:`TRACE_SCHEMA`, and a
+        step count, a step's mode count or a mode that does not fit the config
+        echo: the derived attributes read them."""
         if d.get("schema") != TRACE_SCHEMA:
             raise ValueError(
                 f"trace schema {d.get('schema')!r} is not supported; expected {TRACE_SCHEMA!r}"
             )
-        return cls(**{
+        trace = cls(**{
             **d,
             "steps": [StepRecord.from_dict(r) for r in d["steps"]],
             "final_output": _decode_array(d["final_output"]),
-            "cost": CostReport(**d["cost"]),
         })
+        mc = trace.config["model"]
+        if len(trace.steps) != mc["total_steps"]:
+            raise ValueError(f"trace has {len(trace.steps)} steps, its config {mc['total_steps']}")
+        for r in trace.steps:
+            if len(r.modes) != mc["num_blocks"]:
+                raise ValueError(
+                    f"step {r.step} has {len(r.modes)} modes, its config {mc['num_blocks']} blocks"
+                )
+            unknown = set(r.modes).difference(MODES)
+            if unknown:
+                raise ValueError(f"step {r.step} has unknown modes {sorted(unknown)}")
+        return trace
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Trace) and self.to_dict() == other.to_dict()
@@ -228,31 +279,6 @@ class Trace:
     @classmethod
     def from_json(cls, text: str) -> "Trace":
         return cls.from_dict(json.loads(text))
-
-
-def cost_report(trace: Trace) -> CostReport:
-    """Analytic cost of a trace, computed from its step records and its
-    salient-set picks alone."""
-    model = trace.config["model"]
-    if len(trace.steps) != model["total_steps"]:
-        raise ValueError(
-            f"incomplete trace: {len(trace.steps)} of {model['total_steps']} steps"
-        )
-    # each pick holds from its step until the block's next pick (entries come
-    # in step order, so a later pick overwrites an earlier one)
-    salient_sizes = {}
-    for entry in trace.saliency or ():
-        size = len(entry["text"]) + len(entry["image"])
-        for step in range(entry["step"], len(trace.steps)):
-            salient_sizes[(step, entry["block"])] = size
-    return build_cost_report(
-        [list(r.modes) for r in trace.steps],
-        model["text_tokens"] + model["image_tokens"],
-        model["hidden_dim"],
-        model["ffn_dim"],
-        model["image_tokens"],
-        salient_sizes,
-    )
 
 
 def config_echo(model: Model, rcfg: CorgiConfig) -> dict:
@@ -327,7 +353,6 @@ def run_with_policy(
             StepRecord(
                 step=s,
                 role=role,
-                cached=tuple(b for b, m in enumerate(modes) if m != MODE_FULL),
                 modes=tuple(modes),
                 checksum=state_checksum(h),
                 noise_pred=eps,
@@ -335,7 +360,7 @@ def run_with_policy(
         )
         schedule.observe(s, step_outputs)
 
-    trace = Trace(
+    return Trace(
         schema=TRACE_SCHEMA,
         created_at=datetime.now(timezone.utc).isoformat(),
         config=config_echo(model, rcfg),
@@ -343,8 +368,4 @@ def run_with_policy(
         contributions=schedule.contributions,
         saliency=schedule.saliency,
         final_output=x,
-        cost=None,
-        equivalent_to_reference=all(len(r.cached) == 0 for r in records),
     )
-    trace.cost = cost_report(trace)
-    return trace

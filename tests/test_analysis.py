@@ -5,10 +5,10 @@ import corgi.model
 from corgi import (
     CorgiConfig,
     PolicyKind,
+    Trace,
     adjacent_step_cka,
     analyze_model,
     block_ablation,
-    cost_report,
     divergence,
     run_reference,
     run_with_policy,
@@ -178,22 +178,22 @@ def test_a_one_step_ablation_is_rejected_before_any_run(monkeypatch):
     assert calls == []
 
 
-def test_cost_report_matches_trace_and_rejects_truncation():
+def test_trace_cost_survives_a_round_trip_and_a_truncated_trace_does_not_load():
     model, x = toy_setup(8)
     trace = run_with_policy(
         model, x, None,
         CorgiConfig(policy=PolicyKind.CORGI, warmup=2, interval=5, gamma=3, delta=1),
     )
-    recomputed = cost_report(trace)
-    assert recomputed == trace.cost
-    assert recomputed.blocks_computed == 60
+    loaded = Trace.from_json(trace.to_json())
+    assert loaded.cost == trace.cost
+    assert loaded.cost.blocks_computed == 60
 
     none = run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.NONE))
-    assert cost_report(none).speedup == 1.0
+    assert Trace.from_json(none.to_json()).cost.speedup == 1.0
 
     trace.steps = trace.steps[:-1]
-    with pytest.raises(ValueError, match="incomplete trace"):
-        cost_report(trace)
+    with pytest.raises(ValueError, match="trace has 11 steps, its config 12"):
+        Trace.from_json(trace.to_json())
 
 
 def test_salient_protection_improves_on_plain_caching_for_most_seeds():

@@ -33,7 +33,7 @@ def test_run_interval_one_is_flagged_equivalent(tmp_path):
     assert main(["run", *SMALL, "--policy", "corgi", "--interval", "1", "-o", str(out)]) == 0
     trace = Trace.from_json(out.read_text())
     assert trace.equivalent_to_reference
-    assert trace.schema == "corgi-trace/2"
+    assert trace.schema == "corgi-trace/3"
 
 
 def test_run_trace_round_trips(tmp_path):
@@ -213,18 +213,19 @@ def test_compare_report(tmp_path, capsys):
     assert none_run["speedup"] == 1.0
     assert none_run["final_mse"] == 0.0
     assert report["runs"][1]["speedup"] > 1.0
-    table = capsys.readouterr().out
-    assert "corgi_plus" in table
+    captured = capsys.readouterr()
+    assert "corgi_plus" in captured.err  # the table
+    assert captured.out == ""  # the report went to -o
 
 
 def test_compare_row_keys_follow_the_record_fields(capsys):
-    # without -o the table comes first, then the JSON report; a row is the
-    # policy, then CostReport's fields but per_step, then DivergenceReport's
+    # without -o the JSON report is all of stdout and the table goes to
+    # stderr; a row is the policy, then CostReport's fields, then
+    # DivergenceReport's
     assert main(["compare", *SMALL, "--policies", "parity", "--seed", "2"]) == 0
-    out = capsys.readouterr().out
-    table, brace, report = out.partition("\n{")
-    assert "parity" in table
-    (row,) = json.loads(brace + report)["runs"]
+    captured = capsys.readouterr()
+    assert "parity" in captured.err
+    (row,) = json.loads(captured.out)["runs"]
     assert list(row) == [
         "policy", "flops_full", "flops_actual", "speedup", "blocks_total", "blocks_computed",
         "block_speedup", "per_step_mse", "per_step_cosine", "final_mse", "final_cosine",

@@ -89,8 +89,8 @@ def _run(argv):
 def _parse_output(command: str, out: str) -> None:
     if command == "run":
         Trace.from_json(out)
-    elif command == "compare":  # the table, then the JSON report
-        assert "runs" in json.loads(out[out.index("{"):])
+    elif command == "compare":  # the table goes to stderr
+        assert "runs" in json.loads(out)
     else:
         json.loads(out)
 

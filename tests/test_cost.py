@@ -69,8 +69,11 @@ def test_report_worked_schedule():
     assert report.block_speedup == 96 / 60
     assert report.flops_actual < report.flops_full
     assert report.flops_full == 96 * flops_block(20, 32, 64, MODE_FULL) + 12 * 16 * 32 * 32
-    assert [row["cached"] for row in report.per_step] == cached_per_step
-    assert sum(row["flops"] for row in report.per_step) == report.flops_actual
+    assert report.flops_actual == sum(
+        (8 - c) * flops_block(20, 32, 64, MODE_FULL) + c * flops_block(20, 32, 64, MODE_CACHED)
+        + 16 * 32 * 32
+        for c in cached_per_step
+    )
 
 
 def test_report_partial_uses_salient_sizes():
@@ -89,19 +92,17 @@ def _per_block_report(trace):
     for e in trace.saliency or ():
         for step in range(e["step"], len(trace.steps)):
             sizes[(step, e["block"])] = len(e["text"]) + len(e["image"])
-    per_step = []
-    for r in trace.steps:
-        flops = head + sum(
+    actual = sum(
+        head + sum(
             flops_block(L, d, d_ff, m, salient=sizes.get((r.step, b), 0)) for b, m in enumerate(r.modes)
         )
-        per_step.append({"step": r.step, "flops": flops, **{m: r.modes.count(m) for m in (
-            MODE_FULL, MODE_CACHED, MODE_CACHED_PARTIAL)}})
+        for r in trace.steps
+    )
     total = len(trace.steps) * len(trace.steps[0].modes)
-    computed = sum(row[MODE_FULL] for row in per_step)
+    computed = sum(r.modes.count(MODE_FULL) for r in trace.steps)
     full = total * flops_block(L, d, d_ff, MODE_FULL) + len(trace.steps) * head
-    actual = sum(row["flops"] for row in per_step)
     return dict(flops_full=full, flops_actual=actual, speedup=full / actual, blocks_total=total,
-                blocks_computed=computed, block_speedup=total / computed, per_step=per_step)
+                blocks_computed=computed, block_speedup=total / computed)
 
 
 @pytest.mark.parametrize("refresh", [False, True])

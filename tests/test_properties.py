@@ -1,8 +1,9 @@
 """Bit-exactness invariants over random tiny configurations."""
 
 import itertools
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,35 @@ def test_traces_round_trip_and_repeat_byte_for_byte(setup):
         again = run_with_policy(model, x, None, cfg)
         t.created_at = again.created_at = ""
         assert again.to_json() == t.to_json()
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(tiny_setups())
+def test_a_trace_stores_no_derived_value_and_derives_the_same_after_loading(setup):
+    # the cost, equivalent_to_reference and each step's cached blocks are
+    # read from the modes, the picks and the config echo; a document that
+    # carries any of them back is not a corgi-trace/3 document
+    model, x = setup
+    for policy, warmup, refresh in itertools.product(PolicyKind, (None, 0), (False, True)):
+        t = run_with_policy(model, x, None, CorgiConfig(
+            policy=policy, warmup=warmup, refresh_saliency=refresh,
+        ))
+        text = t.to_json()
+        back = Trace.from_json(text)
+        assert back.cost == t.cost
+        assert back.equivalent_to_reference == t.equivalent_to_reference
+        assert [r.cached for r in back.steps] == [r.cached for r in t.steps]
+        d = json.loads(text)
+        assert "cost" not in d and "equivalent_to_reference" not in d
+        assert not any("cached" in r for r in d["steps"])
+        first = {**d["steps"][0], "cached": list(t.steps[0].cached)}
+        for key, doc in (
+            ("cost", {**d, "cost": asdict(t.cost)}),
+            ("equivalent_to_reference", {**d, "equivalent_to_reference": t.equivalent_to_reference}),
+            ("cached", {**d, "steps": [first, *d["steps"][1:]]}),
+        ):
+            with pytest.raises(TypeError, match=key):
+                Trace.from_json(json.dumps(doc))
 
 
 @PROPERTY_SETTINGS

@@ -11,7 +11,7 @@ import corgi
 EXPORTS = {
     "CorgiConfig", "ModelConfig", "PolicyKind", "SalientTokenSet", "SeededRng", "Trace",
     "adjacent_step_cka", "analyze_model", "block_ablation", "block_forward", "build_model",
-    "cached_count", "cka", "cost_report",
+    "cached_count", "cka",
     "derive_seed", "divergence", "identify_salient", "kmeans_1d_two", "masked_merge",
     "partial_attention", "plan_steps", "run_reference", "run_with_policy",
 }

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -576,16 +577,11 @@ def test_trace_json_keys_follow_the_record_fields():
     trace = run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.CORGI_PLUS, top_c=2))
     d = json.loads(trace.to_json())
     assert list(d) == [
-        "schema", "created_at", "config", "steps", "contributions", "saliency",
-        "final_output", "cost", "equivalent_to_reference",
+        "schema", "created_at", "config", "steps", "contributions", "saliency", "final_output",
     ]
-    assert list(d["steps"][0]) == ["step", "role", "cached", "modes", "checksum", "noise_pred"]
+    assert list(d["steps"][0]) == ["step", "role", "modes", "checksum", "noise_pred"]
     assert list(d["steps"][0]["noise_pred"]) == ["shape", "f64le"]
     assert list(d["final_output"]) == ["shape", "f64le"]
-    assert list(d["cost"]) == [
-        "flops_full", "flops_actual", "speedup", "blocks_total", "blocks_computed",
-        "block_speedup", "per_step",
-    ]
     d["comment"] = "not a field"
     with pytest.raises(TypeError, match="comment"):
         Trace.from_json(json.dumps(d))
@@ -631,19 +627,70 @@ def test_trace_rejects_malformed_array_payloads():
 def test_trace_rejects_other_schemas():
     trace = _tiny_trace()
     d = json.loads(trace.to_json())
-    # a corgi-trace/1 file stored arrays as nested float lists
-    old = {
+    # a corgi-trace/2 file also stored each step's cached blocks, the cost
+    # and equivalent_to_reference; a corgi-trace/1 file stored its arrays as
+    # nested float lists besides
+    v2 = {
         **d,
+        "schema": "corgi-trace/2",
+        "steps": [{**r, "cached": list(s.cached)} for r, s in zip(d["steps"], trace.steps)],
+        "cost": {**asdict(trace.cost), "per_step": []},
+        "equivalent_to_reference": trace.equivalent_to_reference,
+    }
+    v1 = {
+        **v2,
         "schema": "corgi-trace/1",
-        "steps": [{**r, "noise_pred": p.tolist()} for r, p in zip(d["steps"], trace.noise_preds)],
+        "steps": [{**r, "noise_pred": p.tolist()} for r, p in zip(v2["steps"], trace.noise_preds)],
         "final_output": trace.final_output.tolist(),
     }
-    for schema, doc in (("corgi-trace/1", old), ("corgi-trace/3", {**d, "schema": "corgi-trace/3"})):
-        with pytest.raises(ValueError, match=f"'{schema}'.*'corgi-trace/2'"):
+    for schema, doc in (("corgi-trace/1", v1), ("corgi-trace/2", v2),
+                        ("corgi-trace/4", {**d, "schema": "corgi-trace/4"})):
+        with pytest.raises(ValueError, match=f"'{schema}'.*'corgi-trace/3'"):
             Trace.from_json(json.dumps(doc))
     without = {k: v for k, v in d.items() if k != "schema"}
-    with pytest.raises(ValueError, match="None.*'corgi-trace/2'"):
+    with pytest.raises(ValueError, match="None.*'corgi-trace/3'"):
         Trace.from_dict(without)
+
+
+def test_a_hand_edited_trace_that_contradicts_its_modes_does_not_load():
+    # a corgi trace at the CLI defaults, edited to claim a one-MAC cost, to
+    # be equivalent to the reference and to cache nothing at step 5, while
+    # six of step 5's modes read cached; a corgi-trace/2 loader took it
+    import corgi.cli as cli
+
+    model, x = cli.setup(cli.DEFAULTS)
+    trace = run_with_policy(model, x, None, cli.policy_config(cli.DEFAULTS, "corgi"))
+    d = json.loads(trace.to_json())
+    assert d["steps"][5]["modes"].count("cached") == 6
+    steps = [*d["steps"][:5], {**d["steps"][5], "cached": []}, *d["steps"][6:]]
+    edited = {
+        **d, "steps": steps, "cost": {**asdict(trace.cost), "flops_actual": 1},
+        "equivalent_to_reference": True,
+    }
+    with pytest.raises(TypeError):
+        Trace.from_json(json.dumps(edited))
+    with pytest.raises(ValueError, match="'corgi-trace/2'"):
+        Trace.from_json(json.dumps({**edited, "schema": "corgi-trace/2"}))
+    assert len(trace.steps[5].cached) == 6 and not trace.equivalent_to_reference
+
+
+def test_a_trace_whose_steps_or_modes_do_not_fit_its_config_echo_does_not_load():
+    d = json.loads(_tiny_trace().to_json())  # 3 steps of 2 blocks
+    steps = d["steps"]
+
+    def with_modes(step, modes):
+        return {**d, "steps": [{**r, "modes": modes} if r["step"] == step else r for r in steps]}
+
+    for doc, message in (
+        ({**d, "steps": steps[:-1]}, "trace has 2 steps, its config 3"),
+        ({**d, "steps": [*steps, steps[-1]]}, "trace has 4 steps, its config 3"),
+        (with_modes(1, ["full"]), "step 1 has 1 modes, its config 2 blocks"),
+        (with_modes(1, ["full", "cached", "full"]), "step 1 has 3 modes, its config 2 blocks"),
+        (with_modes(2, ["turbo", "full"]), r"step 2 has unknown modes \['turbo'\]"),
+        (with_modes(0, ["skip", "turbo"]), r"step 0 has unknown modes \['skip', 'turbo'\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Trace.from_json(json.dumps(doc))
 
 
 def _read_only(a):
