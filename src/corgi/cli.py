@@ -215,11 +215,9 @@ def cmd_compare(parser: argparse.ArgumentParser, cfg: dict) -> int:
         speed = f"{r['speedup']:>8.3f}"
         if r["speedup"] == best and len(rows) > 1:
             speed = _color(speed, "32")
-        lines.append(
-            f"{r['policy']:<16} {speed} "
-            f"{r['blocks_computed']}/{r['blocks_total']:>4} "
-            f"{r['final_mse']:>12.4e} {r['final_cosine']:>10.6f}"
-        )
+        blocks = f"{r['blocks_computed']}/{r['blocks_total']}"
+        lines.append(f"{r['policy']:<16} {speed} {blocks:>9} "
+                     f"{r['final_mse']:>12.4e} {r['final_cosine']:>10.6f}")
     print("\n".join(lines), file=sys.stderr)
     _emit(cfg, json.dumps({"schema": "corgi-compare/1", "runs": rows}, indent=2) + "\n")
     return 0

@@ -1,4 +1,4 @@
-"""Toy multi-modal diffusion transformer and its deterministic denoising loop.
+"""Toy multi-modal diffusion transformer and its full-compute reference run.
 
 The model is a stack of transformer blocks running joint self-attention over a
 concatenated token sequence (text tokens at rows [0, text_tokens), image
@@ -9,15 +9,18 @@ decomposition
 
 pre-normalization living *inside* the ATTN/FFN terms so the three addends are
 exactly the quantities the caching engine stores and reuses. A full-compute
-run (:func:`run_reference`) is the oracle every cached run is compared to.
+run (:func:`run_reference`) is the oracle every cached run is compared to. It
+is the none policy's run through the one denoising loop,
+:func:`corgi.runtime.denoise`, over the blocks it keeps.
 
 :func:`attention_rows` returns each head's attention probabilities, as one
 heads x rows x seq array. The head-averaged map exists only as the
 image-query x text-key slice that :func:`block_forward` keeps as
 ``cross_map``, the one part of it that CorGi+'s salient-token pick reads; the
 full L x L average is never formed. ``block_forward`` forms even that slice
-only when asked (the default): :func:`run_reference` never asks, and the
-engine asks only at the steps where its schedule picks salient sets.
+only when asked (the default). The denoising loop asks only at the steps
+where its schedule picks salient sets, so a run of the none policy, and with
+it :func:`run_reference`, never forms it.
 
 Each block's Q, K and V weights are stacked once, in :func:`build_model`, as
 ``Block.qkv``, the only form in which a block holds them: ``qkv[0]``,
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -143,8 +146,8 @@ class BlockOutputs:
     cross_map is the image-query x text-key submatrix of the head-averaged
     joint-attention map, the only part of that map any caller reads, or None
     (the default) where the computation did not form it: a cached block
-    never does, :func:`run_reference` never does, and the engine's full
-    blocks only at the steps whose plan picks salient sets.
+    never does, and a full block only at the steps whose plan picks
+    salient sets (never in :func:`run_reference`).
     """
 
     attn_out: Matrix
@@ -327,7 +330,7 @@ def denoise_step_mean(x_t: Matrix, eps: Matrix, t: int, schedule: NoiseSchedule)
 
         x_{t-1} = (x_t - (1 - alpha_t)/sqrt(1 - alpha_bar_t) * eps) / sqrt(alpha_t)
 
-    Unchecked: the two denoising loops pass 1 <= t <= len(schedule) and
+    Unchecked: the denoising loop passes 1 <= t <= len(schedule) and
     float64 arrays of one shape, the latent and its noise prediction.
     """
     alpha = schedule.alphas[t - 1]
@@ -359,7 +362,7 @@ def check_run_inputs(
 def initial_hidden(model: Model, x: Matrix, step: int, text_embed: Matrix) -> Matrix:
     """Joint hidden state for one step: [text; latent] plus the step bias.
 
-    Unchecked: the two denoising loops pass the embedding that
+    Unchecked: the denoising loop passes the embedding that
     :func:`check_run_inputs` resolved at entry.
     """
     return np.concatenate([text_embed, x], axis=0) + model.step_bias[step]
@@ -393,10 +396,14 @@ def run_reference(
     text_embed: Matrix | None = None,
     pruned_blocks: frozenset[int] | set[int] = frozenset(),
 ) -> ReferenceTrajectory:
-    """Run the full denoising loop computing every block at every step.
+    """Run the denoising loop computing every block at every step.
 
-    pruned_blocks replaces the named blocks with the identity (out = h), which
-    is the block-ablation probe; the default runs the intact model. Its
+    This is the none policy's run through :func:`corgi.runtime.denoise`, the
+    loop every run takes, so it is bit for bit the noise predictions and
+    final latent of ``run_with_policy`` under none; it also keeps every
+    step's latent. pruned_blocks replaces the named blocks with the
+    identity (out = h), which is the block-ablation probe: the loop runs
+    over the blocks that are left. The default runs the intact model. Its
     indices must be Python or numpy integers (not bools) in range. The
     arrays are checked here, once (:func:`check_run_inputs`).
     """
@@ -407,17 +414,17 @@ def run_reference(
             raise ValueError(f"pruned block {b!r} is not an integer")
         if not 0 <= b < cfg.num_blocks:
             raise ValueError(f"pruned block {b} out of range")
+    # policy and runtime import this module, so they are imported here
+    from .policy import CorgiConfig, PolicyKind
+    from .runtime import denoise
 
+    none = CorgiConfig(PolicyKind.NONE).resolved(cfg.total_steps, cfg.num_blocks, cfg.text_tokens)
+    kept = [block for b, block in enumerate(model.blocks) if b not in pruned_blocks]
     traj = ReferenceTrajectory()
-    for step in range(cfg.total_steps):
-        h = initial_hidden(model, x, step, text_embed)
-        for b, block in enumerate(model.blocks):
-            if b not in pruned_blocks:
-                h = block_forward(block, h, cfg.text_tokens, with_cross_map=False).block_out
-        eps = predict_noise(model, h)
-        if not np.isfinite(eps).all():
-            raise FloatingPointError(f"non-finite noise prediction at step {step}")
-        x = denoise_step_mean(x, eps, cfg.total_steps - step, model.schedule)
+
+    def record(step: int, role: str, modes: list[str], h: Matrix, eps: Matrix, x: Matrix) -> None:
         traj.noise_preds.append(eps)
         traj.latents.append(x)
+
+    denoise(replace(model, blocks=kept), x, text_embed, none, record)
     return traj

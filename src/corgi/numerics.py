@@ -64,12 +64,13 @@ argument, because callers pass cache entries' arrays back in as inputs.
 
 The kernels here (:func:`matmul`, :func:`matmul_nt`, :func:`softmax_rows`)
 do not validate their inputs, and neither do the per-block steps built on
-them in :mod:`corgi.model` and :mod:`corgi.runtime`, nor the non-exported
-helpers that the engine, the schedules and :func:`corgi.model.build_model`
-call (:func:`normal_stream` here, and ``build_schedule``,
-``denoise_step_mean``, ``select_cached``, ``baseline_directives``,
-``contribution_scores``, ``rank_ascending`` and ``build_mask``). Each
-helper's docstring states the precondition its callers guarantee.
+them in :mod:`corgi.model` and :mod:`corgi.runtime`, nor the one denoising
+loop (:func:`corgi.runtime.denoise`), nor the non-exported helpers that the
+loop, the schedules and :func:`corgi.model.build_model` call
+(:func:`normal_stream` here, and ``build_schedule``, ``denoise_step_mean``,
+``select_cached``, ``baseline_directives``, ``contribution_scores``,
+``rank_ascending`` and ``build_mask``). Each helper's docstring states the
+precondition its callers guarantee.
 :func:`corgi.runtime.run_with_policy` and :func:`corgi.model.run_reference`
 check a run's config and arrays once, at entry, ``build_model`` checks the
 model's dimensions, and every other value of the run is computed from

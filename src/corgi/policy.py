@@ -72,6 +72,13 @@ class CorgiConfig:
     refresh_saliency: bool = False
     parity: str = "even"  # one of PARITY_CHOICES
 
+    @property
+    def serves_cache(self) -> bool:
+        """Whether a run of this policy can serve a block from the cache:
+        every policy but none, whose schedule never does and never reads a
+        step's block outputs."""
+        return self.policy != PolicyKind.NONE
+
     def resolved(self, total_steps: int, num_blocks: int, text_tokens: int) -> "CorgiConfig":
         """Fill defaults and validate against the model dimensions."""
         cfg = replace(
@@ -248,7 +255,7 @@ class BaselineSchedule:
 
     def plan(self, step: int) -> tuple[str, set[int], None, bool]:
         rcfg = self.rcfg
-        label = WARMUP if step < rcfg.warmup and rcfg.policy != PolicyKind.NONE else "step"
+        label = WARMUP if step < rcfg.warmup and rcfg.serves_cache else "step"
         ranking = None
         if rcfg.policy == PolicyKind.PER_STEP_NAIVE and step >= rcfg.warmup:
             older, newer = self.previous

@@ -1,11 +1,14 @@
 """Policy-agnostic cached execution engine for the toy DiT.
 
-:func:`run_with_policy` drives a schedule object from :mod:`corgi.policy`
-through the denoising loop. Before each step it asks the schedule for the
-step's plan (which blocks to serve from the cache, among other things), runs
-every block, and hands the step's block outputs back; all policy state lives
-in the schedule. The cache holds, per block, the :class:`BlockOutputs` of its
-last full computation at step t-hat.
+:func:`denoise` is the one denoising loop. It drives a schedule object from
+:mod:`corgi.policy`: :func:`run_with_policy` runs it under any policy, and
+:func:`corgi.model.run_reference` under none, over the blocks it does not
+prune. Before each step the loop asks the schedule for the step's plan
+(which blocks to serve from the cache, among other things), runs every
+block, and hands the step's block outputs back; all policy state lives in
+the schedule. The cache holds, per block, the :class:`BlockOutputs` of its
+last full computation at step t-hat. A run of the none policy, which never
+serves the cache, keeps no cache at all.
 
 Cache semantics follow the additive block decomposition: a cached block
 reuses its stored ATTN and FFN outputs while the residual stream is
@@ -293,13 +296,10 @@ def config_echo(model: Model, rcfg: CorgiConfig) -> dict:
     }
 
 
-def run_with_policy(
-    model: Model,
-    x_init: Matrix,
-    text_embed: Matrix | None,
-    config: CorgiConfig,
-) -> Trace:
-    """Execute T denoising steps under a caching policy and emit a Trace.
+def denoise(model: Model, x: Matrix, text_embed: Matrix, rcfg: CorgiConfig, record) -> tuple:
+    """The denoising loop, the one every run goes through: a run of any
+    policy, and :func:`corgi.model.run_reference` as a run of the none
+    policy over the blocks it keeps.
 
     The policy's schedule (:func:`corgi.policy.make_schedule`) plans each
     step once, before its first block: the step's role, the blocks to serve
@@ -314,52 +314,82 @@ def run_with_policy(
     Full blocks form their cross maps only at the steps whose plan says the
     observation reads them; elsewhere, and on every cached block, the map is
     None.
-    The config and the arrays are checked here, once, before step 0.
+    A run whose policy never serves the cache (:attr:`CorgiConfig.serves_cache`)
+    keeps no cache entry and hands its schedule an empty list of outputs, so
+    a block's outputs are freed as soon as the next block has read them.
+
+    After each step's latent update it calls ``record(step, role, modes,
+    h, eps, x)`` with the step's role, the per-block modes, the final hidden
+    state, the noise prediction and the new latent. Returns the final latent
+    and the schedule, for what it gathered.
+
+    Unchecked: the entry points pass arrays that
+    :func:`corgi.model.check_run_inputs` checked and a config that
+    :meth:`CorgiConfig.resolved` validated.
     """
     mc = model.config
-    rcfg = config.resolved(mc.total_steps, mc.num_blocks, mc.text_tokens)
-    x, text_embed = check_run_inputs(model, x_init, text_embed)
-
     schedule = make_schedule(rcfg, mc)
-    cache: list[BlockOutputs | None] = [None] * mc.num_blocks
-    records: list[StepRecord] = []
+    keeps = rcfg.serves_cache
+    cache: list[BlockOutputs | None] = [None] * len(model.blocks)
 
     for s in range(mc.total_steps):
         role, cached, refresh, with_cross_map = schedule.plan(s)
         h = initial_hidden(model, x, s, text_embed)
-        modes: list[str] = []
-        step_outputs: list[BlockOutputs] = []
+        modes, outputs = [], []
         for b, block in enumerate(model.blocks):
-            entry = cache[b]
-            if b in cached and entry is not None:
+            if b in cached and cache[b] is not None:
                 if refresh is None:
-                    outs = execute_block_cached(h, entry, rcfg.residual)
-                    mode = MODE_CACHED
+                    outs = execute_block_cached(h, cache[b], rcfg.residual)
+                    modes.append(MODE_CACHED)
                 else:
-                    outs = execute_block_corgi_plus(h, block, entry, *refresh[b], mc.text_tokens)
-                    mode = MODE_CACHED_PARTIAL
+                    outs = execute_block_corgi_plus(h, block, cache[b], *refresh[b], mc.text_tokens)
+                    modes.append(MODE_CACHED_PARTIAL)
             else:
-                outs = cache[b] = block_forward(block, h, mc.text_tokens, with_cross_map)
-                mode = MODE_FULL
-            modes.append(mode)
-            step_outputs.append(outs)
-            h = outs.block_out
+                outs = block_forward(block, h, mc.text_tokens, with_cross_map)
+                modes.append(MODE_FULL)
+                if keeps:
+                    cache[b] = outs
+            if keeps:
+                outputs.append(outs)
+            # unkept, the block's outputs are freed here, before the next block
+            # allocates, and before the state the block read, the order in
+            # which `block_forward(...).block_out` frees them; the other order
+            # timed 1.5-3.5% slower at the compare_wide shape (scripts/ab.py,
+            # one pinned vCPU)
+            block_out = outs.block_out
+            del outs
+            h = block_out
 
         eps = predict_noise(model, h)
         if not np.isfinite(eps).all():
             raise FloatingPointError(f"non-finite noise prediction at step {s}")
         x = denoise_step_mean(x, eps, mc.total_steps - s, model.schedule)
-        records.append(
-            StepRecord(
-                step=s,
-                role=role,
-                modes=tuple(modes),
-                checksum=state_checksum(h),
-                noise_pred=eps,
-            )
-        )
-        schedule.observe(s, step_outputs)
+        record(s, role, modes, h, eps, x)
+        schedule.observe(s, outputs)
+    return x, schedule
 
+
+def run_with_policy(
+    model: Model,
+    x_init: Matrix,
+    text_embed: Matrix | None,
+    config: CorgiConfig,
+) -> Trace:
+    """Execute T denoising steps under a caching policy and emit a Trace.
+
+    The steps run through :func:`denoise`; each step's record keeps its
+    role, modes, noise prediction and the checksum of its final hidden
+    state. The config and the arrays are checked here, once, before step 0.
+    """
+    mc = model.config
+    rcfg = config.resolved(mc.total_steps, mc.num_blocks, mc.text_tokens)
+    x, text_embed = check_run_inputs(model, x_init, text_embed)
+    records: list[StepRecord] = []
+
+    def record(step: int, role: str, modes: list[str], h: Matrix, eps: Matrix, x: Matrix) -> None:
+        records.append(StepRecord(step, role, tuple(modes), state_checksum(h), eps))
+
+    x, schedule = denoise(model, x, text_embed, rcfg, record)
     return Trace(
         schema=TRACE_SCHEMA,
         created_at=datetime.now(timezone.utc).isoformat(),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import corgi.model
+import corgi.runtime
 from corgi import (
     CorgiConfig,
     PolicyKind,
@@ -100,13 +100,13 @@ def test_ablation_index_out_of_range():
 def test_a_bad_ablation_index_is_rejected_before_any_block_runs(index, monkeypatch):
     model, x = toy_setup(5, num_blocks=2, total_steps=3, hidden_dim=16, ffn_dim=16, num_heads=2)
     calls = []
-    real = corgi.model.block_forward
+    real = corgi.runtime.block_forward
 
     def spy(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(corgi.model, "block_forward", spy)
+    monkeypatch.setattr(corgi.runtime, "block_forward", spy)  # the name the engine calls
     with pytest.raises(ValueError, match="pruned block"):
         block_ablation(model, x, None, index)
     assert calls == []

@@ -232,6 +232,17 @@ def test_compare_row_keys_follow_the_record_fields(capsys):
     ]
 
 
+def test_compare_table_right_aligns_each_blocks_cell_under_its_header(capsys):
+    assert main(["compare", *SMALL, "--policies", "none,corgi,parity", "--seed", "3"]) == 0
+    captured = capsys.readouterr()
+    header, rule, *rows = [line for line in captured.err.splitlines() if line.strip()]
+    assert set(rule) == {"-"}
+    end = header.index("blocks") + len("blocks")
+    for row, run in zip(rows, json.loads(captured.out)["runs"], strict=True):
+        cell = f"{run['blocks_computed']}/{run['blocks_total']}"
+        assert row[end - len(cell) - 1 : end] == " " + cell, row
+
+
 def test_compare_rejects_unknown_policy():
     with pytest.raises(SystemExit) as exc:
         main(["compare", *SMALL, "--policies", "none,quantum"])

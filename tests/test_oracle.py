@@ -1,5 +1,7 @@
 """Whole cached runs against a straight-line oracle.
 
+:func:`reference_oracle` is the full-compute run written out one step and
+one block at a time, with the identity in place of each pruned block.
 :func:`oracle_run` re-derives each of the six policies from its definition,
 one step and one block at a time. It is built from the block kernels
 (``block_forward``, ``partial_attention``), the model helpers, ``cka``,
@@ -24,6 +26,7 @@ from corgi import (
     derive_seed,
     identify_salient,
     partial_attention,
+    run_reference,
     run_with_policy,
 )
 from corgi.model import denoise_step_mean, initial_hidden, predict_noise
@@ -36,6 +39,23 @@ def _by_contribution(older, newer):
     order, ties to the lower index."""
     scores = [1.0 - cka(n, o) for o, n in zip(older, newer)]
     return scores, sorted(range(len(scores)), key=lambda b: (scores[b], b))
+
+
+def reference_oracle(model, x, pruned):
+    """The noise predictions and latents of the full-compute run whose
+    blocks in ``pruned`` pass their hidden state through unchanged."""
+    mc = model.config
+    noise_preds, latents = [], []
+    for s in range(mc.total_steps):
+        h = initial_hidden(model, x, s, model.text_embed)
+        for b, block in enumerate(model.blocks):
+            if b not in pruned:
+                h = block_forward(block, h, mc.text_tokens, with_cross_map=False).block_out
+        eps = predict_noise(model, h)
+        x = denoise_step_mean(x, eps, mc.total_steps - s, model.schedule)
+        noise_preds.append(eps)
+        latents.append(x)
+    return noise_preds, latents
 
 
 def oracle_run(model, x, config):
@@ -126,10 +146,10 @@ def oracle_run(model, x, config):
 
 
 @st.composite
-def runs(draw, policy):
-    """A small random model, its initial noise and a config of the policy."""
+def models(draw):
+    """A small random model and its initial noise."""
     dim = draw(st.sampled_from([4, 8]))
-    model, x = toy_setup(
+    return toy_setup(
         draw(st.integers(0, 2**32 - 1)),
         num_blocks=draw(st.integers(1, 5)),
         total_steps=draw(st.integers(1, 8)),
@@ -139,6 +159,12 @@ def runs(draw, policy):
         text_tokens=draw(st.integers(1, 4)),
         image_tokens=draw(st.integers(1, 5)),
     )
+
+
+@st.composite
+def runs(draw, policy):
+    """A small random model, its initial noise and a config of the policy."""
+    model, x = draw(models())
     mc = model.config
     config = CorgiConfig(
         policy=policy,
@@ -169,3 +195,38 @@ def test_a_cached_run_equals_the_straight_line_oracle(policy, data):
     pairs = zip(trace.noise_preds, want["noise_preds"], strict=True)
     assert all(np.array_equal(p, q) for p, q in pairs)
     assert np.array_equal(trace.final_output, want["final_output"])
+
+
+@st.composite
+def pruned_runs(draw):
+    """A small random model, its initial noise and a set of blocks to prune:
+    none, one, all of them, or any subset."""
+    model, x = draw(models())
+    index = st.integers(0, model.config.num_blocks - 1)
+    pruned = draw(
+        st.just(frozenset())
+        | index.map(lambda b: frozenset({b}))
+        | st.just(frozenset(range(model.config.num_blocks)))
+        | st.frozensets(index)
+    )
+    return model, x, pruned
+
+
+def _bit_equal(got, want):
+    return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pruned_runs())
+def test_the_reference_and_the_none_run_equal_the_straight_line_loop(args):
+    model, x, pruned = args
+    noise_preds, latents = reference_oracle(model, x, frozenset())
+    ref = run_reference(model, x)
+    assert _bit_equal(ref.noise_preds, noise_preds) and _bit_equal(ref.latents, latents)
+    trace = run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.NONE))
+    assert _bit_equal(trace.noise_preds, noise_preds)
+    assert np.array_equal(trace.final_output, latents[-1])
+
+    noise_preds, latents = reference_oracle(model, x, pruned)
+    ref = run_reference(model, x, pruned_blocks=pruned)
+    assert _bit_equal(ref.noise_preds, noise_preds) and _bit_equal(ref.latents, latents)

@@ -2,11 +2,13 @@ import base64
 import json
 import math
 import sys
+import weakref
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import corgi.runtime
 from corgi import (
     CorgiConfig,
     ModelConfig,
@@ -723,3 +725,38 @@ def test_hot_paths_never_write_to_their_inputs():
     s = SalientTokenSet(text_indices=(0, 2), image_indices=(1, 4, 9))
     mask = _read_only(build_mask(s, mc.text_tokens, mc.image_tokens))
     execute_block_corgi_plus(h, block, entry, s, mask, mc.text_tokens)
+
+
+@pytest.mark.parametrize("run", ["none", "reference", "pruned reference"])
+def test_a_none_run_keeps_no_block_outputs_from_an_earlier_step(monkeypatch, run):
+    # none never serves the cache, so once a block's successor has read its
+    # output, nothing of it may stay alive: not as a cache entry, not in the
+    # step's list of outputs, not in a loop variable
+    model, x = toy_setup(0, num_blocks=3, total_steps=5)
+    computed, alive_at_plan = [], []
+    real_forward, real_make = corgi.runtime.block_forward, corgi.runtime.make_schedule
+
+    def forward(*args, **kwargs):
+        outs = real_forward(*args, **kwargs)
+        computed.append(weakref.ref(outs))
+        return outs
+
+    def make_schedule(*args):
+        schedule = real_make(*args)
+        plan = schedule.plan
+
+        def counting_plan(step):
+            alive_at_plan.append(sum(ref() is not None for ref in computed))
+            return plan(step)
+
+        schedule.plan = counting_plan
+        return schedule
+
+    monkeypatch.setattr(corgi.runtime, "block_forward", forward)
+    monkeypatch.setattr(corgi.runtime, "make_schedule", make_schedule)
+    if run == "none":
+        run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.NONE))
+    else:
+        run_reference(model, x, pruned_blocks={1} if run == "pruned reference" else frozenset())
+    assert len(computed) == 5 * (2 if run == "pruned reference" else 3)
+    assert alive_at_plan == [0] * 5
