@@ -19,9 +19,10 @@ ratio B/A, and whether both copies gave the same bits (every reference
 latent, every step checksum and noise prediction, the ablation maps).
 
 Same-host drift cancels within a pair, so a few percent resolve in tens of
-pairs. Copy A is imported first, and load order alone can move the ratio
-by about a percent: pass one directory twice for an A/A control, and run
-each comparison in both orders.
+pairs. Copy A is imported first, and load order alone moved the ratio by
+up to 1.3%, with a sign and a size that varied between runs (compare_wide's
+A/A read 0.987, 0.990 and 1.001). So run every comparison in both orders,
+each time with an A/A control: one directory passed twice.
 """
 
 from __future__ import annotations

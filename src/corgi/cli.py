@@ -182,9 +182,10 @@ def cmd_run(parser: argparse.ArgumentParser, cfg: dict) -> int:
     model, x_init = setup(cfg)
     trace = run_with_policy(model, x_init, None, policy_config(cfg))
     _emit(cfg, trace.to_json())
+    cost = trace.cost
     print(
-        f"run: policy={trace.config['policy']} speedup={trace.cost.speedup:.3f} "
-        f"blocks={trace.cost.blocks_computed}/{trace.cost.blocks_total} "
+        f"run: policy={trace.config['policy']} speedup={cost.speedup:.3f} "
+        f"blocks={cost.blocks_computed}/{cost.blocks_total} "
         f"equivalent_to_reference={trace.equivalent_to_reference}",
         file=sys.stderr,
     )

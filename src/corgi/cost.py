@@ -6,8 +6,9 @@ the formulas are the normative cost definition. The unit is one
 multiply-accumulate (MAC): a d x d projection of L rows costs L*d^2, half the
 conventional FLOP count; a residual addition counts one per element. Ratios
 such as ``speedup`` do not depend on the unit. The names ``flops_*`` stay as
-they are because they are trace JSON keys. Wall-clock time is measured by
-the benchmark in ``perfbench/`` (see ``perfbench/README.md``), not here.
+they are because they are ``corgi compare`` row keys, and the benchmark reads
+``flops_actual``. Wall-clock time is measured by the benchmark in
+``perfbench/`` (see ``perfbench/README.md``), not here.
 
     full ATTN        4*L*d^2 + 2*L^2*d        (q/k/v/o projections + scores/apply)
     full FFN         2*L*d*d_ff
@@ -18,13 +19,15 @@ the benchmark in ``perfbench/`` (see ``perfbench/README.md``), not here.
     eps head         L_img*d^2 per step, whatever the block modes
                      (the noise prediction projects the image rows)
 
-A run's total is the sum over steps of its blocks' costs plus the head term,
-so the matmul MACs a run executes equal ``flops_actual`` minus the L*d
+A run's total is one pass over its steps: each block's cost in its mode, with
+the size of that block's salient set in force, plus the head term. So the
+matmul MACs a run executes equal ``flops_actual`` minus the L*d
 residual additions of each cached or cached_partial block.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 MODE_FULL = "full"
@@ -33,37 +36,20 @@ MODE_CACHED_PARTIAL = "cached_partial"
 MODES = (MODE_FULL, MODE_CACHED, MODE_CACHED_PARTIAL)
 
 
-def flops_attn_full(seq_len: int, dim: int) -> int:
-    return 4 * seq_len * dim * dim + 2 * seq_len * seq_len * dim
-
-
-def flops_ffn_full(seq_len: int, dim: int, ffn_dim: int) -> int:
-    return 2 * seq_len * dim * ffn_dim
-
-
-def flops_block(
-    seq_len: int,
-    dim: int,
-    ffn_dim: int,
-    mode: str,
-    salient: int = 0,
-) -> int:
+def flops_block(seq_len: int, dim: int, ffn_dim: int, mode: str, salient: int = 0) -> int:
     """MACs of one block execution in the given mode.
 
     The head count does not change the totals: head splits repartition the
     same products.
     """
     if mode == MODE_FULL:
-        return flops_attn_full(seq_len, dim) + flops_ffn_full(seq_len, dim, ffn_dim)
+        # attention (q/k/v/o projections, scores and apply) plus the FFN
+        return 4 * seq_len * dim * dim + 2 * seq_len * seq_len * dim + 2 * seq_len * dim * ffn_dim
     if mode == MODE_CACHED:
         return seq_len * dim
     if mode == MODE_CACHED_PARTIAL:
-        return (
-            2 * seq_len * dim * dim
-            + 2 * salient * dim * dim
-            + 2 * salient * seq_len * dim
-            + seq_len * dim
-        )
+        return (2 * seq_len * dim * dim + 2 * salient * dim * dim
+                + 2 * salient * seq_len * dim + seq_len * dim)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -84,40 +70,37 @@ class CostReport:
 
 
 def build_cost_report(
-    step_modes: list[list[str]],
+    step_modes: Sequence[Sequence[str]],
     seq_len: int,
     dim: int,
     ffn_dim: int,
     image_tokens: int,
-    salient_sizes: dict[tuple[int, int], int] | None = None,
+    picks: Iterable[tuple[int, int, int]] = (),
 ) -> CostReport:
-    """Aggregate per-(step, block) modes, plus each step's eps head, into a
-    CostReport.
+    """Charge every (step, block) through :func:`flops_block`, and each step's
+    eps head, in one pass into a CostReport.
 
-    salient_sizes maps (step, block index) -> |S_i|, the size of the salient
-    set a cached_partial execution refreshed. Full and cached blocks cost
-    the same at every step, so a step charges them as count x constant and
-    sums :func:`flops_block` over its cached_partial blocks only.
+    picks are (step, block index, |S|) triples in step order, one per
+    salient-set pick; a pick holds from its step until that block's next
+    pick. A cached_partial block is charged the size of its pick in force
+    (0 with none).
     """
-    salient_sizes = salient_sizes or {}
-    full_block = flops_block(seq_len, dim, ffn_dim, MODE_FULL)
-    cached_block = flops_block(seq_len, dim, ffn_dim, MODE_CACHED)
     head = image_tokens * dim * dim
-    actual = 0
-    computed = 0
+    pending = iter(picks)
+    pick = next(pending, None)
+    in_force: dict[int, int] = {}
+    actual = computed = 0
     for step, modes in enumerate(step_modes):
-        full, cached = modes.count(MODE_FULL), modes.count(MODE_CACHED)
-        actual += head + full * full_block + cached * cached_block
-        # only a partial block's cost varies, with its salient-set size; an
-        # unknown mode is rejected by flops_block
-        for b, mode in enumerate(modes):
-            if mode not in (MODE_FULL, MODE_CACHED):
-                actual += flops_block(
-                    seq_len, dim, ffn_dim, mode, salient=salient_sizes.get((step, b), 0)
-                )
-        computed += full
-    num_blocks = len(step_modes[0]) if step_modes else 0
-    total_blocks = len(step_modes) * num_blocks
+        while pick is not None and pick[0] <= step:
+            in_force[pick[1]] = pick[2]
+            pick = next(pending, None)
+        actual += head + sum(
+            flops_block(seq_len, dim, ffn_dim, mode, in_force.get(b, 0))
+            for b, mode in enumerate(modes)
+        )
+        computed += modes.count(MODE_FULL)
+    total_blocks = sum(map(len, step_modes))
+    full_block = flops_block(seq_len, dim, ffn_dim, MODE_FULL)
     flops_full = total_blocks * full_block + len(step_modes) * head
     return CostReport(
         flops_full=flops_full,

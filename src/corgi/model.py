@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -394,7 +395,7 @@ def run_reference(
     model: Model,
     x_init: Matrix,
     text_embed: Matrix | None = None,
-    pruned_blocks: frozenset[int] | set[int] = frozenset(),
+    pruned_blocks: Iterable[int] = frozenset(),
 ) -> ReferenceTrajectory:
     """Run the denoising loop computing every block at every step.
 
@@ -404,11 +405,13 @@ def run_reference(
     step's latent. pruned_blocks replaces the named blocks with the
     identity (out = h), which is the block-ablation probe: the loop runs
     over the blocks that are left. The default runs the intact model. Its
-    indices must be Python or numpy integers (not bools) in range. The
-    arrays are checked here, once (:func:`check_run_inputs`).
+    indices, any iterable of them read once, must be Python or numpy
+    integers (not bools) in range. The arrays are checked here, once
+    (:func:`check_run_inputs`).
     """
     cfg = model.config
     x, text_embed = check_run_inputs(model, x_init, text_embed)
+    pruned_blocks = tuple(pruned_blocks)
     for b in pruned_blocks:
         if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
             raise ValueError(f"pruned block {b!r} is not an integer")

@@ -78,19 +78,23 @@ those; a check per call would repeat that work once per head, block, step
 or pick. Called directly on a non-finite input, a kernel returns non-finite
 entries, as numpy would.
 
-Four checks still run inside a run. Three sit in exported functions whose
-errors tests pin: :func:`corgi.saliency.identify_salient` checks its cross
-map at every pick, and :func:`corgi.model.block_forward` and
-:func:`corgi.runtime.masked_merge` their arrays at every block. All three
-are also spans the benchmark expects to fire, so the engine cannot call an
-unchecked private core in their place until the benchmark names it
-(ROADMAP items 1 and 6). The fourth is two comparisons at every refreshed
-block and every mask, one at each end of a salient set:
+Seven checks still run inside a run, all in exports whose errors tests
+pin. At every block, :func:`corgi.model.block_forward` checks its arrays,
+and at every refreshed block :func:`corgi.runtime.masked_merge` checks its
+rows. At every pick, :func:`corgi.saliency.identify_salient` checks its
+cross map, :func:`corgi.saliency.top_c_text` checks ``c``,
+:func:`corgi.saliency.kmeans_1d_two` re-checks each selected column (its
+size and finiteness), and each :class:`corgi.saliency.SalientTokenSet`
+checks every index it holds (integers, ascending, distinct, >= 0) when it is
+made. ``block_forward``, ``masked_merge``, ``identify_salient`` and
+``kmeans_1d_two`` are also spans the benchmark expects to fire, so the
+engine cannot call an unchecked private core in their place until the
+benchmark names it (ROADMAP items 1 and 6). The seventh is two comparisons
+at every refreshed block and every mask, one at each end of a salient set:
 :func:`corgi.saliency.salient_rows` rejects a text index at or past the
 text tokens, which would name an image row, and an image index at or past
 the image tokens, which would name a row past the sequence (each sorted
-tuple's last entry). A :class:`corgi.saliency.SalientTokenSet` checks
-its own indices once, when it is made. The schedules score contributions
+tuple's last entry). The schedules score contributions
 through ``contribution_scores``, whose unchecked core reuses each
 snapshot's Gram norms; :func:`corgi.contribution.cka` keeps its checks as
 the export. The per-step finiteness check on the noise prediction is the

@@ -222,20 +222,12 @@ class Trace:
         picks alone. It is computed each time it is read, so it follows any
         edit of those fields."""
         model = self.config["model"]
-        # each pick holds from its step until the block's next pick (entries come
-        # in step order, so a later pick overwrites an earlier one)
-        salient_sizes = {}
-        for entry in self.saliency or ():
-            size = len(entry["text"]) + len(entry["image"])
-            for step in range(entry["step"], len(self.steps)):
-                salient_sizes[(step, entry["block"])] = size
         return build_cost_report(
-            [list(r.modes) for r in self.steps],
+            [r.modes for r in self.steps],
             model["text_tokens"] + model["image_tokens"],
-            model["hidden_dim"],
-            model["ffn_dim"],
-            model["image_tokens"],
-            salient_sizes,
+            model["hidden_dim"], model["ffn_dim"], model["image_tokens"],
+            [(e["step"], e["block"], len(e["text"]) + len(e["image"]))
+             for e in self.saliency or ()],
         )
 
     def to_dict(self) -> dict:
@@ -248,8 +240,11 @@ class Trace:
     @classmethod
     def from_dict(cls, d: dict) -> "Trace":
         """Load a trace. Rejects any schema but :data:`TRACE_SCHEMA`, and a
-        step count, a step's mode count or a mode that does not fit the config
-        echo: the derived attributes read them."""
+        step count, a step's mode count, a mode or a salient-set pick that
+        does not fit the config echo: the derived attributes read them. Picks
+        must come in step order, name a step and a block of the config, hold
+        a valid salient set for its token counts (:func:`salient_rows`), and
+        every cached_partial block needs a pick in force."""
         if d.get("schema") != TRACE_SCHEMA:
             raise ValueError(
                 f"trace schema {d.get('schema')!r} is not supported; expected {TRACE_SCHEMA!r}"
@@ -260,16 +255,32 @@ class Trace:
             "final_output": _decode_array(d["final_output"]),
         })
         mc = trace.config["model"]
-        if len(trace.steps) != mc["total_steps"]:
-            raise ValueError(f"trace has {len(trace.steps)} steps, its config {mc['total_steps']}")
-        for r in trace.steps:
-            if len(r.modes) != mc["num_blocks"]:
-                raise ValueError(
-                    f"step {r.step} has {len(r.modes)} modes, its config {mc['num_blocks']} blocks"
-                )
+        steps, blocks = mc["total_steps"], mc["num_blocks"]
+        if len(trace.steps) != steps:
+            raise ValueError(f"trace has {len(trace.steps)} steps, its config {steps}")
+        first, last = {}, 0  # block -> step of its first pick; the latest pick's step
+        for e in trace.saliency or ():
+            step, block = e["step"], e["block"]
+            if not (0 <= step < steps and 0 <= block < blocks):
+                raise ValueError(f"pick at step {step}, block {block} is outside its config's "
+                                 f"{steps} steps of {blocks} blocks")
+            if step < last:
+                raise ValueError(f"pick at step {step} comes after a pick at step {last}")
+            picked = SalientTokenSet(tuple(e["text"]), tuple(e["image"]))
+            salient_rows(picked, mc["text_tokens"], mc["image_tokens"])
+            first.setdefault(block, step)
+            last = step
+        for s, r in enumerate(trace.steps):
+            if len(r.modes) != blocks:
+                raise ValueError(f"step {r.step} has {len(r.modes)} modes, "
+                                 f"its config {blocks} blocks")
             unknown = set(r.modes).difference(MODES)
             if unknown:
                 raise ValueError(f"step {r.step} has unknown modes {sorted(unknown)}")
+            if MODE_CACHED_PARTIAL in r.modes and any(
+                m == MODE_CACHED_PARTIAL and first.get(b, steps) > s for b, m in enumerate(r.modes)
+            ):
+                raise ValueError(f"step {r.step} has a cached_partial block with no pick in force")
         return trace
 
     def __eq__(self, other) -> bool:

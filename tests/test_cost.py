@@ -1,6 +1,8 @@
 from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corgi import CorgiConfig, PolicyKind, run_with_policy
 from corgi.cost import (
@@ -8,19 +10,18 @@ from corgi.cost import (
     MODE_CACHED_PARTIAL,
     MODE_FULL,
     build_cost_report,
-    flops_attn_full,
     flops_block,
-    flops_ffn_full,
 )
 
-from helpers import toy_setup
+from helpers import tiny_setups, toy_setup
 
 
 def test_full_block_hand_value():
-    # L=8, d=4, d_ff=8: 4*8*16 + 2*64*4 + 2*8*4*8 = 512 + 512 + 512
-    assert flops_attn_full(8, 4) == 1024
-    assert flops_ffn_full(8, 4, 8) == 512
-    assert flops_block(8, 4, 8, MODE_FULL) == 1536
+    # L=8, d=4, d_ff=8: attention 4*8*16 + 2*64*4 = 1024, FFN 2*8*4*8 = 512
+    assert flops_block(8, 4, 8, MODE_FULL) == 1024 + 512
+    # the attention and the FFN terms separately: d_ff moves only the FFN
+    assert flops_block(8, 4, 0, MODE_FULL) == 1024
+    assert flops_block(8, 4, 16, MODE_FULL) - flops_block(8, 4, 8, MODE_FULL) == 512
 
 
 def test_cached_is_residual_additions_only():
@@ -78,9 +79,24 @@ def test_report_worked_schedule():
 
 def test_report_partial_uses_salient_sizes():
     modes = [[MODE_CACHED_PARTIAL, MODE_FULL]]
-    small = build_cost_report(modes, 10, 8, 16, 6, salient_sizes={(0, 0): 1})
-    big = build_cost_report(modes, 10, 8, 16, 6, salient_sizes={(0, 0): 9})
+    small = build_cost_report(modes, 10, 8, 16, 6, picks=[(0, 0, 1)])
+    big = build_cost_report(modes, 10, 8, 16, 6, picks=[(0, 0, 9)])
     assert small.flops_actual < big.flops_actual
+
+
+def test_a_pick_holds_until_the_blocks_next_pick():
+    # block 0 picks 2 tokens at step 0 and 5 at step 2, block 1 picks 3 at
+    # step 1; the partial blocks of steps 1-3 are charged the pick in force
+    P, F = MODE_CACHED_PARTIAL, MODE_FULL
+    modes = [[F, F], [P, F], [P, P], [P, P]]
+    report = build_cost_report(modes, 10, 8, 16, 6, picks=[(0, 0, 2), (1, 1, 3), (2, 0, 5)])
+
+    def part(s):
+        return flops_block(10, 8, 16, P, salient=s)
+
+    full = flops_block(10, 8, 16, F)
+    charged = [2 * full, part(2) + full, part(5) + part(3), part(5) + part(3)]
+    assert report.flops_actual == sum(charged) + 4 * 6 * 8 * 8
 
 
 def _per_block_report(trace):
@@ -105,14 +121,22 @@ def _per_block_report(trace):
                 blocks_computed=computed, block_speedup=total / computed)
 
 
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(tiny_setups(), st.sampled_from((2, 5)))
+@example(toy_setup(0), 2)  # CLI defaults: re-picks whose sizes differ
 @pytest.mark.parametrize("refresh", [False, True])
 @pytest.mark.parametrize("policy", list(PolicyKind))
-def test_report_equals_the_per_block_sum(policy, refresh):
-    # the report charges full and cached blocks as count x constant per step;
-    # that must equal one flops_block call per (step, block), field for field
-    model, x = toy_setup(4)
-    trace = run_with_policy(model, x, None, CorgiConfig(policy=policy, refresh_saliency=refresh))
-    assert asdict(trace.cost) == _per_block_report(trace)
+def test_report_equals_the_per_block_sum(policy, refresh, setup, interval):
+    # the report must equal one flops_block call per (step, block) with the
+    # pick in force, field for field, for every pick pattern; interval 2
+    # re-picks under refresh_saliency
+    model, x = setup
+    for warmup in (None, 0):
+        cfg = CorgiConfig(
+            policy=policy, refresh_saliency=refresh, warmup=warmup, interval=interval,
+        )
+        trace = run_with_policy(model, x, None, cfg)
+        assert asdict(trace.cost) == _per_block_report(trace)
 
 
 def test_report_rejects_an_unknown_mode():

@@ -221,6 +221,20 @@ def test_run_reference_bookkeeping():
     assert len(t1.noise_preds) == 1
 
 
+def test_run_reference_reads_a_one_shot_iterable_of_pruned_blocks_once():
+    # a generator is consumed by the index checks; the pruned run must still
+    # skip its blocks, bit for bit like a set, and differ from the intact run
+    model, x = toy_setup(5, num_blocks=3, total_steps=3, hidden_dim=16, ffn_dim=16, num_heads=2)
+    want = run_reference(model, x, pruned_blocks={0, 2})
+    for pruned in (iter([0, 2]), (b for b in (2, 0)), [0, 2]):
+        got = run_reference(model, x, pruned_blocks=pruned)
+        assert all(np.array_equal(p, q) for p, q in zip(got.noise_preds, want.noise_preds))
+        assert np.array_equal(got.final_output, want.final_output)
+    assert not np.array_equal(run_reference(model, x).final_output, want.final_output)
+    with pytest.raises(ValueError, match="pruned block 3 out of range"):
+        run_reference(model, x, pruned_blocks=iter([0, 3]))
+
+
 def test_run_reference_deterministic():
     model, x = toy_setup(5, num_blocks=3, total_steps=4, hidden_dim=16, ffn_dim=16, num_heads=2)
     a = run_reference(model, x)

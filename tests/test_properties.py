@@ -32,25 +32,9 @@ from corgi.model import _gelu, _layernorm, attention_rows, block_forward
 from corgi.numerics import _row_tiled, matmul, matmul_nt, softmax_rows
 from corgi.saliency import KMeansResult
 
-from helpers import bit_identical_to_reference, toy_setup
+from helpers import bit_identical_to_reference, tiny_setups, toy_setup
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-
-
-@st.composite
-def tiny_setups(draw):
-    hidden_dim = draw(st.sampled_from([4, 8]))
-    model, x = toy_setup(
-        draw(st.integers(min_value=0, max_value=2**64 - 1)),
-        num_blocks=draw(st.integers(1, 4)),
-        total_steps=draw(st.integers(1, 6)),
-        hidden_dim=hidden_dim,
-        ffn_dim=draw(st.sampled_from([4, 8])),
-        num_heads=draw(st.sampled_from([h for h in (1, 2, 4, 8) if hidden_dim % h == 0])),
-        text_tokens=draw(st.integers(1, 4)),
-        image_tokens=draw(st.integers(1, 4)),
-    )
-    return model, x
 
 
 @PROPERTY_SETTINGS

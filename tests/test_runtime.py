@@ -695,6 +695,43 @@ def test_a_trace_whose_steps_or_modes_do_not_fit_its_config_echo_does_not_load()
             Trace.from_json(json.dumps(doc))
 
 
+def test_a_corgi_plus_trace_whose_picks_do_not_fit_its_config_echo_does_not_load():
+    # a corgi_plus trace at the CLI defaults; unchecked, a trace without its
+    # picks loaded and charged its partial blocks at s = 0 (speedup 1.548 in
+    # place of 1.423), and a pick naming block 99 loaded too
+    import corgi.cli as cli
+
+    model, x = cli.setup(cli.DEFAULTS)
+    trace = run_with_policy(model, x, None, cli.policy_config(cli.DEFAULTS, "corgi_plus"))
+    d = json.loads(trace.to_json())
+    picks = d["saliency"]
+    first = picks[0]
+    mc = d["config"]["model"]
+    assert Trace.from_json(trace.to_json()).cost == trace.cost
+
+    def with_picks(*changed):
+        return {**d, "saliency": [*changed, *picks[len(changed):]]}
+
+    for doc, message in (
+        ({**d, "saliency": None}, "step 3 has a cached_partial block with no pick in force"),
+        ({**d, "saliency": picks[1:]}, "step 6 has a cached_partial block with no pick in force"),
+        (with_picks({**first, "block": 99, "image": list(range(500))}),
+         "pick at step 2, block 99 is outside its config's 12 steps of 8 blocks"),
+        (with_picks({**first, "block": -1}), "pick at step 2, block -1 is outside"),
+        (with_picks({**first, "step": 12}), "pick at step 12, block 0 is outside"),
+        ({**d, "saliency": [*picks, {**first, "step": 1}]},
+         "pick at step 1 comes after a pick at step 2"),
+        (with_picks({**first, "image": [mc["image_tokens"]]}),
+         f"image index {mc['image_tokens']} out of range"),
+        (with_picks({**first, "text": [mc["text_tokens"]]}),
+         f"text index {mc['text_tokens']} out of range"),
+        (with_picks({**first, "image": [3, 1]}), "image indices .* are not ascending"),
+        (with_picks({**first, "text": [0.5]}), "text indices .* are not all integers"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Trace.from_json(json.dumps(doc))
+
+
 def _read_only(a):
     a = np.array(a)
     a.setflags(write=False)
