@@ -20,7 +20,8 @@ they are because they are ``corgi compare`` row keys, and the benchmark reads
                      (the noise prediction projects the image rows)
 
 A run's total is one pass over its steps: each block's cost in its mode, with
-the size of that block's salient set in force, plus the head term. So the
+the size of that block's salient set in force, plus the head term; a
+cached_partial block with no salient set in force is an error. So the
 matmul MACs a run executes equal ``flops_actual`` minus the L*d
 residual additions of each cached or cached_partial block.
 """
@@ -82,8 +83,8 @@ def build_cost_report(
 
     picks are (step, block index, |S|) triples in step order, one per
     salient-set pick; a pick holds from its step until that block's next
-    pick. A cached_partial block is charged the size of its pick in force
-    (0 with none).
+    pick. A cached_partial block is charged the size of its pick in force,
+    and with none in force it raises ValueError naming its step.
     """
     head = image_tokens * dim * dim
     pending = iter(picks)
@@ -94,10 +95,12 @@ def build_cost_report(
         while pick is not None and pick[0] <= step:
             in_force[pick[1]] = pick[2]
             pick = next(pending, None)
-        actual += head + sum(
-            flops_block(seq_len, dim, ffn_dim, mode, in_force.get(b, 0))
-            for b, mode in enumerate(modes)
-        )
+        for b, mode in enumerate(modes):
+            size = in_force.get(b) if mode == MODE_CACHED_PARTIAL else 0
+            if size is None:
+                raise ValueError(f"step {step} has a cached_partial block with no pick in force")
+            actual += flops_block(seq_len, dim, ffn_dim, mode, size)
+        actual += head
         computed += modes.count(MODE_FULL)
     total_blocks = sum(map(len, step_modes))
     full_block = flops_block(seq_len, dim, ffn_dim, MODE_FULL)

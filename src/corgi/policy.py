@@ -47,9 +47,6 @@ class StepRole:
     kind: str
     offset: int = 0
 
-    def label(self) -> str:
-        return f"{INTRA}:{self.offset}" if self.kind == INTRA else self.kind
-
 
 @dataclass(frozen=True)
 class CorgiConfig:
@@ -122,6 +119,17 @@ def plan_steps(total_steps: int, warmup: int, interval: int) -> list[StepRole]:
         offset = (step - warmup) % interval
         roles.append(StepRole(BOUNDARY) if offset == 0 else StepRole(INTRA, offset))
     return roles
+
+
+def step_label(policy: str, role: StepRole) -> str:
+    """The label a step's record carries under a policy: the role itself
+    (``intra:j`` for intra offset j) for corgi and corgi_plus; for the
+    baselines, which have no intervals, ``warmup`` before the warm-up ends
+    and ``step`` after it (every step under none, which never caches)."""
+    policy = PolicyKind(policy)
+    if policy in (PolicyKind.CORGI, PolicyKind.CORGI_PLUS):
+        return f"{INTRA}:{role.offset}" if role.kind == INTRA else role.kind
+    return WARMUP if role.kind == WARMUP and policy != PolicyKind.NONE else "step"
 
 
 def cached_count(offset: int, gamma: int, delta: int, num_blocks: int) -> int:
@@ -211,7 +219,7 @@ class IntervalSchedule:
         if role.kind == INTRA:
             count = cached_count(role.offset, rcfg.gamma, rcfg.delta, self.mc.num_blocks)
             cached = select_cached(self.ranking, count)
-        return role.label(), cached, self.refresh, self.picking
+        return step_label(rcfg.policy, role), cached, self.refresh, self.picking
 
     def observe(self, step: int, outputs: list[BlockOutputs]) -> None:
         rcfg = self.rcfg
@@ -248,6 +256,7 @@ class BaselineSchedule:
     def __init__(self, rcfg: CorgiConfig, mc: ModelConfig):
         self.rcfg = rcfg
         self.num_blocks = mc.num_blocks
+        self.roles = plan_steps(mc.total_steps, rcfg.warmup, rcfg.interval)
         self.rng = SeededRng(derive_seed(rcfg.seed, "policy-random"))
         self.previous: tuple[FeatureSnapshot | None, FeatureSnapshot | None] = (None, None)
         self.contributions: list[dict] = []
@@ -255,7 +264,6 @@ class BaselineSchedule:
 
     def plan(self, step: int) -> tuple[str, set[int], None, bool]:
         rcfg = self.rcfg
-        label = WARMUP if step < rcfg.warmup and rcfg.serves_cache else "step"
         ranking = None
         if rcfg.policy == PolicyKind.PER_STEP_NAIVE and step >= rcfg.warmup:
             older, newer = self.previous
@@ -267,7 +275,7 @@ class BaselineSchedule:
             rcfg.policy, step, rcfg.warmup, self.num_blocks,
             ranking=ranking, parity=rcfg.parity, rng=self.rng,
         )
-        return label, cached, None, False
+        return step_label(rcfg.policy, self.roles[step]), cached, None, False
 
     def observe(self, step: int, outputs: list[BlockOutputs]) -> None:
         if self.rcfg.policy == PolicyKind.PER_STEP_NAIVE:  # the only baseline that reads them

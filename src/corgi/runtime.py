@@ -57,7 +57,8 @@ from .model import (
     predict_noise,
     state_checksum,
 )
-from .policy import CorgiConfig, make_schedule
+from .numerics import check_int
+from .policy import CorgiConfig, make_schedule, plan_steps, step_label
 from .saliency import SalientTokenSet, salient_rows
 
 
@@ -220,14 +221,39 @@ class Trace:
     def cost(self) -> CostReport:
         """Analytic cost of the run, from its step modes and its salient-set
         picks alone. It is computed each time it is read, so it follows any
-        edit of those fields."""
-        model = self.config["model"]
+        edit of those fields, and it checks them against the config echo as
+        it reads them: the step count, each step's mode count and modes, and
+        each pick's step and block (Python ints within the config, in step
+        order) and salient set (:func:`salient_rows`). The fold
+        (:func:`build_cost_report`) rejects a cached_partial block with no
+        pick in force."""
+        mc = self.config["model"]
+        steps, blocks = mc["total_steps"], mc["num_blocks"]
+        if len(self.steps) != steps:
+            raise ValueError(f"trace has {len(self.steps)} steps, its config {steps}")
+        for s, r in enumerate(self.steps):
+            if len(r.modes) != blocks:
+                raise ValueError(f"step {s} has {len(r.modes)} modes, its config {blocks} blocks")
+            unknown = set(r.modes).difference(MODES)
+            if unknown:
+                raise ValueError(f"step {s} has unknown modes {sorted(unknown)}")
+        picks = []
+        for e in self.saliency or ():
+            step, block = e["step"], e["block"]
+            check_int(step, "a pick's step")
+            check_int(block, "a pick's block")
+            if not (0 <= step < steps and 0 <= block < blocks):
+                raise ValueError(f"pick at step {step}, block {block} is outside its config's "
+                                 f"{steps} steps of {blocks} blocks")
+            if picks and step < picks[-1][0]:
+                raise ValueError(f"pick at step {step} comes after a pick at step {picks[-1][0]}")
+            picked = SalientTokenSet(tuple(e["text"]), tuple(e["image"]))
+            rows = salient_rows(picked, mc["text_tokens"], mc["image_tokens"])
+            picks.append((step, block, len(rows)))
         return build_cost_report(
             [r.modes for r in self.steps],
-            model["text_tokens"] + model["image_tokens"],
-            model["hidden_dim"], model["ffn_dim"], model["image_tokens"],
-            [(e["step"], e["block"], len(e["text"]) + len(e["image"]))
-             for e in self.saliency or ()],
+            mc["text_tokens"] + mc["image_tokens"], mc["hidden_dim"], mc["ffn_dim"],
+            mc["image_tokens"], picks,
         )
 
     def to_dict(self) -> dict:
@@ -239,12 +265,12 @@ class Trace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trace":
-        """Load a trace. Rejects any schema but :data:`TRACE_SCHEMA`, and a
-        step count, a step's mode count, a mode or a salient-set pick that
-        does not fit the config echo: the derived attributes read them. Picks
-        must come in step order, name a step and a block of the config, hold
-        a valid salient set for its token counts (:func:`salient_rows`), and
-        every cached_partial block needs a pick in force."""
+        """Load a trace. Rejects any schema but :data:`TRACE_SCHEMA`, a trace
+        whose cost cannot be read (see :attr:`cost`: the steps, modes and
+        salient-set picks must fit the config echo, and every cached_partial
+        block needs a pick in force), and a step record whose ``step`` is not
+        its index or whose ``role`` is not the label the echoed policy gives
+        that step (:func:`corgi.policy.step_label`)."""
         if d.get("schema") != TRACE_SCHEMA:
             raise ValueError(
                 f"trace schema {d.get('schema')!r} is not supported; expected {TRACE_SCHEMA!r}"
@@ -254,33 +280,14 @@ class Trace:
             "steps": [StepRecord.from_dict(r) for r in d["steps"]],
             "final_output": _decode_array(d["final_output"]),
         })
-        mc = trace.config["model"]
-        steps, blocks = mc["total_steps"], mc["num_blocks"]
-        if len(trace.steps) != steps:
-            raise ValueError(f"trace has {len(trace.steps)} steps, its config {steps}")
-        first, last = {}, 0  # block -> step of its first pick; the latest pick's step
-        for e in trace.saliency or ():
-            step, block = e["step"], e["block"]
-            if not (0 <= step < steps and 0 <= block < blocks):
-                raise ValueError(f"pick at step {step}, block {block} is outside its config's "
-                                 f"{steps} steps of {blocks} blocks")
-            if step < last:
-                raise ValueError(f"pick at step {step} comes after a pick at step {last}")
-            picked = SalientTokenSet(tuple(e["text"]), tuple(e["image"]))
-            salient_rows(picked, mc["text_tokens"], mc["image_tokens"])
-            first.setdefault(block, step)
-            last = step
-        for s, r in enumerate(trace.steps):
-            if len(r.modes) != blocks:
-                raise ValueError(f"step {r.step} has {len(r.modes)} modes, "
-                                 f"its config {blocks} blocks")
-            unknown = set(r.modes).difference(MODES)
-            if unknown:
-                raise ValueError(f"step {r.step} has unknown modes {sorted(unknown)}")
-            if MODE_CACHED_PARTIAL in r.modes and any(
-                m == MODE_CACHED_PARTIAL and first.get(b, steps) > s for b, m in enumerate(r.modes)
-            ):
-                raise ValueError(f"step {r.step} has a cached_partial block with no pick in force")
+        trace.cost  # reading it checks the steps and picks against the config echo
+        cfg = trace.config
+        roles = plan_steps(cfg["model"]["total_steps"], cfg["warmup"], cfg["interval"])
+        for s, (r, role) in enumerate(zip(trace.steps, roles)):
+            label = step_label(cfg["policy"], role)
+            if type(r.step) is not int or (r.step, r.role) != (s, label):
+                raise ValueError(f"step {s} records step {r.step!r} and role {r.role!r}, "
+                                 f"its config step {s} and role {label!r}")
         return trace
 
     def __eq__(self, other) -> bool:

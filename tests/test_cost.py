@@ -98,6 +98,11 @@ def test_a_pick_holds_until_the_blocks_next_pick():
     charged = [2 * full, part(2) + full, part(5) + part(3), part(5) + part(3)]
     assert report.flops_actual == sum(charged) + 4 * 6 * 8 * 8
 
+    # with block 1's pick one step later, step 2 charges a partial block
+    # that no pick covers, and the fold refuses it rather than charge s = 0
+    with pytest.raises(ValueError, match="step 2 has a cached_partial block with no pick in force"):
+        build_cost_report(modes, 10, 8, 16, 6, picks=[(0, 0, 2), (2, 0, 5), (3, 1, 3)])
+
 
 def _per_block_report(trace):
     """The cost report summed one flops_block call per (step, block)."""

@@ -13,17 +13,20 @@ from corgi import (
     run_with_policy,
 )
 from corgi.contribution import contribution_scores
-from corgi.policy import baseline_directives, select_cached
+from corgi.policy import baseline_directives, select_cached, step_label
 from helpers import toy_setup
 
 
 def test_plan_worked_example():
     roles = plan_steps(12, 2, 5)
-    assert [r.label() for r in roles] == [
+    assert [step_label(PolicyKind.CORGI, r) for r in roles] == [
         "warmup", "warmup", "boundary",
         "intra:1", "intra:2", "intra:3", "intra:4",
         "boundary", "intra:1", "intra:2", "intra:3", "intra:4",
     ]
+    # the baselines have no intervals; none never caches, so has no warm-up
+    assert [step_label(PolicyKind.PARITY, r) for r in roles] == ["warmup"] * 2 + ["step"] * 10
+    assert [step_label(PolicyKind.NONE, r) for r in roles] == ["step"] * 12
 
 
 def test_plan_interval_one_is_all_boundaries():
@@ -38,7 +41,7 @@ def test_plan_full_warmup():
 
 def test_plan_trailing_partial_interval():
     roles = plan_steps(8, 1, 4)
-    assert [r.label() for r in roles] == [
+    assert [step_label(PolicyKind.CORGI, r) for r in roles] == [
         "warmup", "boundary", "intra:1", "intra:2", "intra:3",
         "boundary", "intra:1", "intra:2",
     ]

@@ -683,6 +683,9 @@ def test_a_trace_whose_steps_or_modes_do_not_fit_its_config_echo_does_not_load()
     def with_modes(step, modes):
         return {**d, "steps": [{**r, "modes": modes} if r["step"] == step else r for r in steps]}
 
+    def with_record(index, **changed):
+        return {**d, "steps": [{**r, **changed} if r["step"] == index else r for r in steps]}
+
     for doc, message in (
         ({**d, "steps": steps[:-1]}, "trace has 2 steps, its config 3"),
         ({**d, "steps": [*steps, steps[-1]]}, "trace has 4 steps, its config 3"),
@@ -690,6 +693,12 @@ def test_a_trace_whose_steps_or_modes_do_not_fit_its_config_echo_does_not_load()
         (with_modes(1, ["full", "cached", "full"]), "step 1 has 3 modes, its config 2 blocks"),
         (with_modes(2, ["turbo", "full"]), r"step 2 has unknown modes \['turbo'\]"),
         (with_modes(0, ["skip", "turbo"]), r"step 0 has unknown modes \['skip', 'turbo'\]"),
+        (with_record(1, step=7), "step 1 records step 7 and role 'boundary'"),
+        (with_record(1, step=True), "step 1 records step True"),
+        (with_record(0, step=0.0), "step 0 records step 0.0"),
+        (with_record(2, role="bogus"),
+         "step 2 records step 2 and role 'bogus', its config step 2 and role 'intra:1'"),
+        (with_record(0, role="boundary"), "step 0 records step 0 and role 'boundary'"),
     ):
         with pytest.raises(ValueError, match=message):
             Trace.from_json(json.dumps(doc))
@@ -727,9 +736,20 @@ def test_a_corgi_plus_trace_whose_picks_do_not_fit_its_config_echo_does_not_load
          f"text index {mc['text_tokens']} out of range"),
         (with_picks({**first, "image": [3, 1]}), "image indices .* are not ascending"),
         (with_picks({**first, "text": [0.5]}), "text indices .* are not all integers"),
+        (with_picks({**first, "step": 2.0}), "a pick's step must be an int, got 2.0"),
+        (with_picks({**first, "block": 0.0}), "a pick's block must be an int, got 0.0"),
+        (with_picks({**first, "step": False}), "a pick's step must be an int, got False"),
     ):
         with pytest.raises(ValueError, match=message):
             Trace.from_json(json.dumps(doc))
+
+    # reading the cost of a trace edited in memory runs the same checks
+    trace.saliency = None
+    with pytest.raises(ValueError, match="step 3 has a cached_partial block with no pick in force"):
+        trace.cost
+    trace.saliency, trace.steps = d["saliency"], trace.steps[:-1]
+    with pytest.raises(ValueError, match="trace has 11 steps, its config 12"):
+        trace.cost
 
 
 def _read_only(a):
