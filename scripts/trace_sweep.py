@@ -14,14 +14,18 @@ one plain copy. The other shapes' sequences (20, 11, 17) take the padded
 copy. Each run
 prints one line: its config, the sha256 of ``Trace.to_json()`` with
 ``created_at`` blanked, a decision digest and an array digest. The decision
-digest is built from the trace's attributes, not from its JSON, so it does
-not depend on the trace format: the config echo, every step's ``step``,
-``role`` and ``modes``, each boundary's contribution scores replaced by
-their ascending ranking (all a policy reads from them), and the salient
-sets. It leaves out the numbers a kernel change moves in their low-order
-bits (each step's ``noise_pred`` and ``checksum``, ``final_output``). The
-cached blocks, ``equivalent_to_reference`` and the cost are functions of the
-modes, the salient sets and the config echo, so no decision goes uncovered.
+digest is built from what the run decided, read from the trace's
+attributes, not from its JSON, so it reads the same on every trace format
+since ``corgi-trace/3``: the config echo, every step's ``modes``, each
+boundary's contribution scores replaced by their ascending ranking (all a
+policy reads from them), in step order, and each salient-set pick's
+``text`` and ``image``, in order. A step's index and role, and a pick's
+step and block, are functions of the config echo and the order, so the
+digest loses nothing by leaving them out. It also leaves out the numbers
+a kernel change moves in their low-order bits (each step's ``noise_pred``
+and ``checksum``, ``final_output``). The cached blocks,
+``equivalent_to_reference`` and the cost are functions of the modes, the
+salient sets and the config echo, so no decision goes uncovered.
 The array digest is the sha256 of the raw float64 bytes of every step's
 ``noise_pred`` and of ``final_output``; it does not depend on how a trace
 encodes its arrays, so it compares the numbers of two checkouts whose trace
@@ -74,14 +78,13 @@ def _sha(data: bytes) -> str:
 
 
 def _decision_digest(trace) -> str:
+    # a corgi-trace/3 contribution is {"step", "scores"}, a /4 one the scores
+    scores = [c["scores"] if isinstance(c, dict) else c for c in trace.contributions]
     d = {
         "config": trace.config,
-        "steps": [{"step": r.step, "role": r.role, "modes": r.modes} for r in trace.steps],
-        "contributions": [
-            {**c, "scores": sorted(range(len(c["scores"])), key=c["scores"].__getitem__)}
-            for c in trace.contributions
-        ],
-        "saliency": trace.saliency,
+        "modes": [r.modes for r in trace.steps],
+        "rankings": [sorted(range(len(s)), key=s.__getitem__) for s in scores],
+        "picks": [(e["text"], e["image"]) for e in trace.saliency or ()],
     }
     return _sha(json.dumps(d).encode())
 

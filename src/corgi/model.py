@@ -425,7 +425,7 @@ def run_reference(
     kept = [block for b, block in enumerate(model.blocks) if b not in pruned_blocks]
     traj = ReferenceTrajectory()
 
-    def record(step: int, role: str, modes: list[str], h: Matrix, eps: Matrix, x: Matrix) -> None:
+    def record(modes: list[str], h: Matrix, eps: Matrix, x: Matrix) -> None:
         traj.noise_preds.append(eps)
         traj.latents.append(x)
 

@@ -121,15 +121,14 @@ def plan_steps(total_steps: int, warmup: int, interval: int) -> list[StepRole]:
     return roles
 
 
-def step_label(policy: str, role: StepRole) -> str:
-    """The label a step's record carries under a policy: the role itself
-    (``intra:j`` for intra offset j) for corgi and corgi_plus; for the
-    baselines, which have no intervals, ``warmup`` before the warm-up ends
-    and ``step`` after it (every step under none, which never caches)."""
-    policy = PolicyKind(policy)
-    if policy in (PolicyKind.CORGI, PolicyKind.CORGI_PLUS):
-        return f"{INTRA}:{role.offset}" if role.kind == INTRA else role.kind
-    return WARMUP if role.kind == WARMUP and policy != PolicyKind.NONE else "step"
+def pick_steps(policy: str, refresh_saliency: bool, roles: list[StepRole]) -> list[int]:
+    """The steps at which a run picks salient sets: corgi_plus's first
+    boundary, or every boundary with refresh_saliency; none under any other
+    policy."""
+    if PolicyKind(policy) != PolicyKind.CORGI_PLUS:
+        return []
+    boundaries = [s for s, role in enumerate(roles) if role.kind == BOUNDARY]
+    return boundaries if refresh_saliency else boundaries[:1]
 
 
 def cached_count(offset: int, gamma: int, delta: int, num_blocks: int) -> int:
@@ -190,10 +189,10 @@ class IntervalSchedule:
     boundary's block outputs (bootstrap: the last warm-up step's; with no
     warm-up at all, the first boundary compares against itself and the
     ranking falls back to index order). corgi_plus also picks per-block
-    salient sets at the first boundary (at every boundary with
-    refresh_saliency), which later plans hand the engine as their refresh;
-    each pick appends one ``saliency`` entry per block, tagged with its step.
-    ``plan`` records in ``picking`` whether its step picks, for ``observe``.
+    salient sets at the steps :func:`pick_steps` names, which later plans
+    hand the engine as their refresh. Each boundary appends its list of B
+    scores to ``contributions``, and each pick one ``saliency`` entry per
+    block, in block order.
     """
 
     def __init__(self, rcfg: CorgiConfig, mc: ModelConfig):
@@ -202,24 +201,19 @@ class IntervalSchedule:
         self.roles = plan_steps(mc.total_steps, rcfg.warmup, rcfg.interval)
         self.ranking = list(range(mc.num_blocks))
         self.snapshot: FeatureSnapshot | None = None
-        self.contributions: list[dict] = []
+        self.contributions: list[list[float]] = []
         self.saliency: list[dict] | None = None
         self.refresh: list[tuple[SalientTokenSet, np.ndarray]] | None = None
-        self.picking = False
+        self.pick_steps = set(pick_steps(rcfg.policy, rcfg.refresh_saliency, self.roles))
 
-    def plan(self, step: int) -> tuple[str, set[int], list | None, bool]:
+    def plan(self, step: int) -> tuple[set[int], list | None, bool]:
         rcfg = self.rcfg
         role = self.roles[step]
-        self.picking = (
-            rcfg.policy == PolicyKind.CORGI_PLUS
-            and role.kind == BOUNDARY
-            and (self.refresh is None or rcfg.refresh_saliency)
-        )
         cached = set()
         if role.kind == INTRA:
             count = cached_count(role.offset, rcfg.gamma, rcfg.delta, self.mc.num_blocks)
             cached = select_cached(self.ranking, count)
-        return step_label(rcfg.policy, role), cached, self.refresh, self.picking
+        return cached, self.refresh, step in self.pick_steps
 
     def observe(self, step: int, outputs: list[BlockOutputs]) -> None:
         rcfg = self.rcfg
@@ -228,18 +222,17 @@ class IntervalSchedule:
             reference = self.snapshot if self.snapshot is not None else block_outs
             scores = contribution_scores(reference, block_outs)
             self.ranking = rank_ascending(scores)
-            self.contributions.append({"step": step, "scores": [float(v) for v in scores]})
+            self.contributions.append([float(v) for v in scores])
             self.snapshot = block_outs
-            if self.picking:
+            if step in self.pick_steps:
                 mc = self.mc
                 picks = [identify_salient(o.cross_map, rcfg.top_c) for o in outputs]
                 self.refresh = [
                     (ss, build_mask(ss, mc.text_tokens, mc.image_tokens)) for ss in picks
                 ]
                 self.saliency = (self.saliency or []) + [
-                    {"step": step, "block": b, "text": list(ss.text_indices),
-                     "image": list(ss.image_indices)}
-                    for b, ss in enumerate(picks)
+                    {"text": list(ss.text_indices), "image": list(ss.image_indices)}
+                    for ss in picks
                 ]
         elif step == rcfg.warmup - 1:
             self.snapshot = FeatureSnapshot(o.block_out for o in outputs)  # bootstrap reference
@@ -256,13 +249,12 @@ class BaselineSchedule:
     def __init__(self, rcfg: CorgiConfig, mc: ModelConfig):
         self.rcfg = rcfg
         self.num_blocks = mc.num_blocks
-        self.roles = plan_steps(mc.total_steps, rcfg.warmup, rcfg.interval)
         self.rng = SeededRng(derive_seed(rcfg.seed, "policy-random"))
         self.previous: tuple[FeatureSnapshot | None, FeatureSnapshot | None] = (None, None)
-        self.contributions: list[dict] = []
+        self.contributions: list[list[float]] = []
         self.saliency: list[dict] | None = None
 
-    def plan(self, step: int) -> tuple[str, set[int], None, bool]:
+    def plan(self, step: int) -> tuple[set[int], None, bool]:
         rcfg = self.rcfg
         ranking = None
         if rcfg.policy == PolicyKind.PER_STEP_NAIVE and step >= rcfg.warmup:
@@ -275,7 +267,7 @@ class BaselineSchedule:
             rcfg.policy, step, rcfg.warmup, self.num_blocks,
             ranking=ranking, parity=rcfg.parity, rng=self.rng,
         )
-        return step_label(rcfg.policy, self.roles[step]), cached, None, False
+        return cached, None, False
 
     def observe(self, step: int, outputs: list[BlockOutputs]) -> None:
         if self.rcfg.policy == PolicyKind.PER_STEP_NAIVE:  # the only baseline that reads them
@@ -286,16 +278,17 @@ def make_schedule(rcfg: CorgiConfig, mc: ModelConfig) -> IntervalSchedule | Base
     """The schedule object of a resolved config's policy.
 
     The engine asks a schedule one question before each step and tells it
-    one thing after: ``plan(step)`` returns ``(label, cached, refresh,
-    reads_cross_maps)``, that is, the step's role, the blocks to serve from
-    the cache, per block the salient set in force and its row mask (None
-    when cached blocks replay whole), and whether observing the step picks
-    salient sets, which read its full blocks' cross maps (corgi_plus's first
-    boundary, or every boundary with refresh_saliency); ``observe(step,
-    outputs)`` hands it the step's per-block outputs once the step ran.
-    After the last step the engine reads ``contributions`` (per-boundary
-    scores) and ``saliency`` (one entry per block and salient-set pick, or
-    None when no set was picked).
+    one thing after: ``plan(step)`` returns ``(cached, refresh,
+    reads_cross_maps)``, that is, the blocks to serve from the cache, per
+    block the salient set in force and its row mask (None when cached blocks
+    replay whole), and whether observing the step picks salient sets, which
+    read its full blocks' cross maps (at the steps :func:`pick_steps`
+    names); ``observe(step, outputs)`` hands it the step's per-block outputs
+    once the step ran. After the last step the engine reads
+    ``contributions`` (B scores per boundary, in step order) and
+    ``saliency`` (one ``{"text", "image"}`` entry per block and salient-set
+    pick, block by block within each picking step, or None when no set was
+    picked).
     """
     if rcfg.policy in (PolicyKind.CORGI, PolicyKind.CORGI_PLUS):
         return IntervalSchedule(rcfg, mc)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
@@ -57,8 +58,7 @@ from .model import (
     predict_noise,
     state_checksum,
 )
-from .numerics import check_int
-from .policy import CorgiConfig, make_schedule, plan_steps, step_label
+from .policy import BOUNDARY, CorgiConfig, PolicyKind, make_schedule, pick_steps, plan_steps
 from .saliency import SalientTokenSet, salient_rows
 
 
@@ -134,21 +134,20 @@ def execute_block_corgi_plus(
     )
 
 
-TRACE_SCHEMA = "corgi-trace/3"
+TRACE_SCHEMA = "corgi-trace/4"
 
 
-def _encode_array(a: Matrix) -> dict:
-    """An array as its shape and the base64 of its little-endian float64
-    bytes: bit-exact, and far cheaper than decimal text."""
-    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
-    return {"shape": list(a.shape), "f64le": base64.b64encode(raw).decode("ascii")}
+def _encode_array(a: Matrix) -> str:
+    """An array as the base64 of its little-endian float64 bytes in C order:
+    bit-exact, and far cheaper than decimal text. Its shape is not stored;
+    the config echo fixes it."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _decode_array(d: dict) -> Matrix:
-    """Inverse of :func:`_encode_array`: an owned, writable, C-contiguous
-    native float64 array."""
-    shape = tuple(d["shape"])
-    raw = base64.b64decode(d["f64le"], validate=True)
+def _decode_array(text: str, shape: tuple[int, int]) -> Matrix:
+    """Inverse of :func:`_encode_array` at the shape the config echo gives:
+    an owned, writable, C-contiguous native float64 array."""
+    raw = base64.b64decode(text, validate=True)
     want = 8 * math.prod(shape)
     if len(raw) != want:
         raise ValueError(f"array of shape {list(shape)} needs {want} bytes, got {len(raw)}")
@@ -163,11 +162,9 @@ def _field_values(record) -> dict:
 
 @dataclass
 class StepRecord:
-    """One step of a policy run: its role, per-block modes and outputs. The
-    cached blocks derive from the modes."""
+    """One step of a policy run: its per-block modes and outputs. Its index
+    in the trace is its step; the cached blocks derive from the modes."""
 
-    step: int
-    role: str
     modes: tuple[str, ...]
     checksum: str
     noise_pred: Matrix
@@ -181,11 +178,11 @@ class StepRecord:
         return {**_field_values(self), "noise_pred": _encode_array(self.noise_pred)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "StepRecord":
+    def from_dict(cls, d: dict, shape: tuple[int, int]) -> "StepRecord":
         return cls(**{
             **d,
             "modes": tuple(d["modes"]),
-            "noise_pred": _decode_array(d["noise_pred"]),
+            "noise_pred": _decode_array(d["noise_pred"], shape),
         })
 
 
@@ -194,7 +191,12 @@ class Trace:
     """Serializable record of one policy run: what it decided and produced.
 
     JSON keys follow the fields of Trace and StepRecord in declaration order;
-    only arrays and nested records are converted. ``cost``,
+    only arrays and nested records are converted. Nothing the config echo
+    fixes is stored: a step is its position in ``steps``, ``contributions``
+    holds B scores per boundary in step order, ``saliency`` holds one
+    ``{"text", "image"}`` entry per block and pick, block by block within
+    each picking step (:func:`corgi.policy.pick_steps`), and an array is its
+    base64 alone, at shape (image_tokens, hidden_dim). ``cost``,
     ``equivalent_to_reference`` and each step's ``cached`` are derived from
     the modes, the salient-set picks and the config echo each time they are
     read, and are not stored.
@@ -204,7 +206,7 @@ class Trace:
     created_at: str
     config: dict
     steps: list[StepRecord]
-    contributions: list[dict]
+    contributions: list[list[float]]
     saliency: list[dict] | None
     final_output: Matrix
 
@@ -222,12 +224,13 @@ class Trace:
         """Analytic cost of the run, from its step modes and its salient-set
         picks alone. It is computed each time it is read, so it follows any
         edit of those fields, and it checks them against the config echo as
-        it reads them: the step count, each step's mode count and modes, and
-        each pick's step and block (Python ints within the config, in step
-        order) and salient set (:func:`salient_rows`). The fold
-        (:func:`build_cost_report`) rejects a cached_partial block with no
-        pick in force."""
-        mc = self.config["model"]
+        it reads them: the step count, each step's mode count and modes, the
+        pick count (B per step :func:`corgi.policy.pick_steps` names; a
+        pick's step and block are its position) and each salient set
+        (:func:`salient_rows`). The fold (:func:`build_cost_report`) rejects
+        a cached_partial block with no pick in force."""
+        cfg = self.config
+        mc = cfg["model"]
         steps, blocks = mc["total_steps"], mc["num_blocks"]
         if len(self.steps) != steps:
             raise ValueError(f"trace has {len(self.steps)} steps, its config {steps}")
@@ -237,19 +240,17 @@ class Trace:
             unknown = set(r.modes).difference(MODES)
             if unknown:
                 raise ValueError(f"step {s} has unknown modes {sorted(unknown)}")
+        roles = plan_steps(steps, cfg["warmup"], cfg["interval"])
+        at = pick_steps(cfg["policy"], cfg["refresh_saliency"], roles)
+        saliency = self.saliency or []
+        if len(saliency) != len(at) * blocks:
+            raise ValueError(f"trace has {len(saliency)} picks, its config {len(at) * blocks} "
+                             f"({blocks} blocks at steps {at})")
         picks = []
-        for e in self.saliency or ():
-            step, block = e["step"], e["block"]
-            check_int(step, "a pick's step")
-            check_int(block, "a pick's block")
-            if not (0 <= step < steps and 0 <= block < blocks):
-                raise ValueError(f"pick at step {step}, block {block} is outside its config's "
-                                 f"{steps} steps of {blocks} blocks")
-            if picks and step < picks[-1][0]:
-                raise ValueError(f"pick at step {step} comes after a pick at step {picks[-1][0]}")
+        for i, e in enumerate(saliency):
             picked = SalientTokenSet(tuple(e["text"]), tuple(e["image"]))
             rows = salient_rows(picked, mc["text_tokens"], mc["image_tokens"])
-            picks.append((step, block, len(rows)))
+            picks.append((at[i // blocks], i % blocks, len(rows)))
         return build_cost_report(
             [r.modes for r in self.steps],
             mc["text_tokens"] + mc["image_tokens"], mc["hidden_dim"], mc["ffn_dim"],
@@ -265,29 +266,40 @@ class Trace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trace":
-        """Load a trace. Rejects any schema but :data:`TRACE_SCHEMA`, a trace
-        whose cost cannot be read (see :attr:`cost`: the steps, modes and
-        salient-set picks must fit the config echo, and every cached_partial
-        block needs a pick in force), and a step record whose ``step`` is not
-        its index or whose ``role`` is not the label the echoed policy gives
-        that step (:func:`corgi.policy.step_label`)."""
+        """Load a trace. Rejects any schema but :data:`TRACE_SCHEMA`, an
+        array whose base64 is invalid or does not hold (image_tokens,
+        hidden_dim) float64s, a trace whose cost cannot be read (see
+        :attr:`cost`: the steps, modes and salient-set picks must fit the
+        config echo, and every cached_partial block needs a pick in force),
+        contributions other than B finite float scores in [0, 1] at each
+        boundary of an interval policy (none for a baseline), and a step
+        checksum that is no sha256 hex digest."""
         if d.get("schema") != TRACE_SCHEMA:
             raise ValueError(
                 f"trace schema {d.get('schema')!r} is not supported; expected {TRACE_SCHEMA!r}"
             )
+        mc = d["config"]["model"]
+        shape = (mc["image_tokens"], mc["hidden_dim"])
         trace = cls(**{
             **d,
-            "steps": [StepRecord.from_dict(r) for r in d["steps"]],
-            "final_output": _decode_array(d["final_output"]),
+            "steps": [StepRecord.from_dict(r, shape) for r in d["steps"]],
+            "final_output": _decode_array(d["final_output"], shape),
         })
         trace.cost  # reading it checks the steps and picks against the config echo
         cfg = trace.config
-        roles = plan_steps(cfg["model"]["total_steps"], cfg["warmup"], cfg["interval"])
-        for s, (r, role) in enumerate(zip(trace.steps, roles)):
-            label = step_label(cfg["policy"], role)
-            if type(r.step) is not int or (r.step, r.role) != (s, label):
-                raise ValueError(f"step {s} records step {r.step!r} and role {r.role!r}, "
-                                 f"its config step {s} and role {label!r}")
+        roles = plan_steps(mc["total_steps"], cfg["warmup"], cfg["interval"])
+        interval = cfg["policy"] in (PolicyKind.CORGI, PolicyKind.CORGI_PLUS)
+        want = [mc["num_blocks"]] * (sum(r.kind == BOUNDARY for r in roles) if interval else 0)
+        counts = [len(c) for c in trace.contributions]
+        if counts != want:
+            raise ValueError(f"trace has {counts} contribution scores per boundary, "
+                             f"its config {want}")
+        for v in (v for c in trace.contributions for v in c):
+            if type(v) is not float or not 0.0 <= v <= 1.0:
+                raise ValueError(f"contribution score {v!r} is not a float in [0, 1]")
+        for s, r in enumerate(trace.steps):
+            if type(r.checksum) is not str or not re.fullmatch("[0-9a-f]{64}", r.checksum):
+                raise ValueError(f"step {s} has checksum {r.checksum!r}, not a sha256 hex digest")
         return trace
 
     def __eq__(self, other) -> bool:
@@ -320,9 +332,9 @@ def denoise(model: Model, x: Matrix, text_embed: Matrix, rcfg: CorgiConfig, reco
     policy over the blocks it keeps.
 
     The policy's schedule (:func:`corgi.policy.make_schedule`) plans each
-    step once, before its first block: the step's role, the blocks to serve
-    from the cache, the salient refresh in force and whether the step's
-    cross maps are read. It observes the step's block outputs afterwards.
+    step once, before its first block: the blocks to serve from the cache,
+    the salient refresh in force and whether the step's cross maps are
+    read. It observes the step's block outputs afterwards.
     Every other block is computed in full and refreshes its cache entry. A
     planned block whose entry was never filled (only possible at step 0 with
     warmup=0) falls back to full computation. Cached blocks run through
@@ -336,10 +348,10 @@ def denoise(model: Model, x: Matrix, text_embed: Matrix, rcfg: CorgiConfig, reco
     keeps no cache entry and hands its schedule an empty list of outputs, so
     a block's outputs are freed as soon as the next block has read them.
 
-    After each step's latent update it calls ``record(step, role, modes,
-    h, eps, x)`` with the step's role, the per-block modes, the final hidden
-    state, the noise prediction and the new latent. Returns the final latent
-    and the schedule, for what it gathered.
+    After each step's latent update it calls ``record(modes, h, eps, x)``
+    with the step's per-block modes, the final hidden state, the noise
+    prediction and the new latent. Returns the final latent and the
+    schedule, for what it gathered.
 
     Unchecked: the entry points pass arrays that
     :func:`corgi.model.check_run_inputs` checked and a config that
@@ -351,7 +363,7 @@ def denoise(model: Model, x: Matrix, text_embed: Matrix, rcfg: CorgiConfig, reco
     cache: list[BlockOutputs | None] = [None] * len(model.blocks)
 
     for s in range(mc.total_steps):
-        role, cached, refresh, with_cross_map = schedule.plan(s)
+        cached, refresh, with_cross_map = schedule.plan(s)
         h = initial_hidden(model, x, s, text_embed)
         modes, outputs = [], []
         for b, block in enumerate(model.blocks):
@@ -382,7 +394,7 @@ def denoise(model: Model, x: Matrix, text_embed: Matrix, rcfg: CorgiConfig, reco
         if not np.isfinite(eps).all():
             raise FloatingPointError(f"non-finite noise prediction at step {s}")
         x = denoise_step_mean(x, eps, mc.total_steps - s, model.schedule)
-        record(s, role, modes, h, eps, x)
+        record(modes, h, eps, x)
         schedule.observe(s, outputs)
     return x, schedule
 
@@ -396,16 +408,16 @@ def run_with_policy(
     """Execute T denoising steps under a caching policy and emit a Trace.
 
     The steps run through :func:`denoise`; each step's record keeps its
-    role, modes, noise prediction and the checksum of its final hidden
-    state. The config and the arrays are checked here, once, before step 0.
+    modes, noise prediction and the checksum of its final hidden state. The
+    config and the arrays are checked here, once, before step 0.
     """
     mc = model.config
     rcfg = config.resolved(mc.total_steps, mc.num_blocks, mc.text_tokens)
     x, text_embed = check_run_inputs(model, x_init, text_embed)
     records: list[StepRecord] = []
 
-    def record(step: int, role: str, modes: list[str], h: Matrix, eps: Matrix, x: Matrix) -> None:
-        records.append(StepRecord(step, role, tuple(modes), state_checksum(h), eps))
+    def record(modes: list[str], h: Matrix, eps: Matrix, x: Matrix) -> None:
+        records.append(StepRecord(tuple(modes), state_checksum(h), eps))
 
     x, schedule = denoise(model, x, text_embed, rcfg, record)
     return Trace(

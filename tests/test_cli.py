@@ -33,7 +33,7 @@ def test_run_interval_one_is_flagged_equivalent(tmp_path):
     assert main(["run", *SMALL, "--policy", "corgi", "--interval", "1", "-o", str(out)]) == 0
     trace = Trace.from_json(out.read_text())
     assert trace.equivalent_to_reference
-    assert trace.schema == "corgi-trace/3"
+    assert trace.schema == "corgi-trace/4"
 
 
 def test_run_trace_round_trips(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corgi import CorgiConfig, PolicyKind, run_with_policy
+from corgi import CorgiConfig, PolicyKind, plan_steps, run_with_policy
 from corgi.cost import (
     MODE_CACHED,
     MODE_CACHED_PARTIAL,
@@ -109,15 +109,21 @@ def _per_block_report(trace):
     mc = trace.config["model"]
     L, d, d_ff = mc["text_tokens"] + mc["image_tokens"], mc["hidden_dim"], mc["ffn_dim"]
     head = mc["image_tokens"] * d * d
+    # the picks come block by block at corgi_plus's first boundary, or at
+    # every boundary with refresh_saliency
+    cfg = trace.config
+    roles = plan_steps(len(trace.steps), cfg["warmup"], cfg["interval"])
+    boundaries = [s for s, r in enumerate(roles) if r.kind == "boundary"]
+    picked_at = boundaries if cfg["refresh_saliency"] else boundaries[:1]
     sizes = {}
-    for e in trace.saliency or ():
-        for step in range(e["step"], len(trace.steps)):
-            sizes[(step, e["block"])] = len(e["text"]) + len(e["image"])
+    for i, e in enumerate(trace.saliency or ()):
+        for step in range(picked_at[i // mc["num_blocks"]], len(trace.steps)):
+            sizes[(step, i % mc["num_blocks"])] = len(e["text"]) + len(e["image"])
     actual = sum(
         head + sum(
-            flops_block(L, d, d_ff, m, salient=sizes.get((r.step, b), 0)) for b, m in enumerate(r.modes)
+            flops_block(L, d, d_ff, m, salient=sizes.get((s, b), 0)) for b, m in enumerate(r.modes)
         )
-        for r in trace.steps
+        for s, r in enumerate(trace.steps)
     )
     total = len(trace.steps) * len(trace.steps[0].modes)
     computed = sum(r.modes.count(MODE_FULL) for r in trace.steps)

@@ -21,6 +21,7 @@ from corgi import (
     CorgiConfig,
     PolicyKind,
     SeededRng,
+    Trace,
     block_forward,
     cka,
     derive_seed,
@@ -60,8 +61,8 @@ def reference_oracle(model, x, pruned):
 
 def oracle_run(model, x, config):
     """The run ``run_with_policy(model, x, None, config)`` must give: its
-    noise predictions, final latent, step roles and modes, boundary
-    contributions and salient picks, as plain lists."""
+    noise predictions, final latent, step modes, boundary contributions and
+    salient picks, as plain lists."""
     mc = model.config
     num_steps, num_blocks, text = mc.total_steps, mc.num_blocks, mc.text_tokens
     c = config.resolved(num_steps, num_blocks, text)
@@ -75,7 +76,7 @@ def oracle_run(model, x, config):
     ranking = list(range(num_blocks))
     last_boundary = None
     picks = None  # per block, the salient set in force
-    out = dict(noise_preds=[], roles=[], modes=[], contributions=[], saliency=[])
+    out = dict(noise_preds=[], modes=[], contributions=[], saliency=[])
 
     for s in range(num_steps):
         if policy == PolicyKind.NONE:
@@ -123,7 +124,6 @@ def oracle_run(model, x, config):
         x = denoise_step_mean(x, eps, num_steps - s, model.schedule)
         history.append(outputs)
         out["noise_preds"].append(eps)
-        out["roles"].append(role)
         out["modes"].append(tuple(modes))
 
         if role == "boundary":
@@ -132,14 +132,13 @@ def oracle_run(model, x, config):
             if last_boundary is None:
                 last_boundary = history[warmup - 1] if warmup else outputs
             scores, ranking = _by_contribution(last_boundary, outputs)
-            out["contributions"].append({"step": s, "scores": scores})
+            out["contributions"].append(scores)
             last_boundary = outputs
             if policy == PolicyKind.CORGI_PLUS and (picks is None or c.refresh_saliency):
                 picks = [identify_salient(e.cross_map, c.top_c) for e in cache]
                 out["saliency"] += [
-                    {"step": s, "block": b, "text": list(ss.text_indices),
-                     "image": list(ss.image_indices)}
-                    for b, ss in enumerate(picks)
+                    {"text": list(ss.text_indices), "image": list(ss.image_indices)}
+                    for ss in picks
                 ]
     out["final_output"] = x
     return out
@@ -188,13 +187,13 @@ def test_a_cached_run_equals_the_straight_line_oracle(policy, data):
     model, x, config = data.draw(runs(policy))
     trace = run_with_policy(model, x, None, config)
     want = oracle_run(model, x, config)
-    assert [r.role for r in trace.steps] == want["roles"]
     assert [r.modes for r in trace.steps] == want["modes"]
     assert trace.contributions == want["contributions"]
     assert (trace.saliency or []) == want["saliency"]
     pairs = zip(trace.noise_preds, want["noise_preds"], strict=True)
     assert all(np.array_equal(p, q) for p, q in pairs)
     assert np.array_equal(trace.final_output, want["final_output"])
+    assert Trace.from_json(trace.to_json()) == trace
 
 
 @st.composite

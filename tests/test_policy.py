@@ -13,20 +13,22 @@ from corgi import (
     run_with_policy,
 )
 from corgi.contribution import contribution_scores
-from corgi.policy import baseline_directives, select_cached, step_label
+from corgi.policy import baseline_directives, pick_steps, select_cached
 from helpers import toy_setup
 
 
 def test_plan_worked_example():
     roles = plan_steps(12, 2, 5)
-    assert [step_label(PolicyKind.CORGI, r) for r in roles] == [
-        "warmup", "warmup", "boundary",
-        "intra:1", "intra:2", "intra:3", "intra:4",
-        "boundary", "intra:1", "intra:2", "intra:3", "intra:4",
+    assert [(r.kind, r.offset) for r in roles] == [
+        ("warmup", 0), ("warmup", 0), ("boundary", 0),
+        ("intra", 1), ("intra", 2), ("intra", 3), ("intra", 4),
+        ("boundary", 0), ("intra", 1), ("intra", 2), ("intra", 3), ("intra", 4),
     ]
-    # the baselines have no intervals; none never caches, so has no warm-up
-    assert [step_label(PolicyKind.PARITY, r) for r in roles] == ["warmup"] * 2 + ["step"] * 10
-    assert [step_label(PolicyKind.NONE, r) for r in roles] == ["step"] * 12
+    # corgi_plus picks at its first boundary, or at every one with refresh
+    assert pick_steps(PolicyKind.CORGI_PLUS, False, roles) == [2]
+    assert pick_steps("corgi_plus", True, roles) == [2, 7]
+    for kind in set(PolicyKind) - {PolicyKind.CORGI_PLUS}:
+        assert pick_steps(kind, True, roles) == []
 
 
 def test_plan_interval_one_is_all_boundaries():
@@ -41,9 +43,9 @@ def test_plan_full_warmup():
 
 def test_plan_trailing_partial_interval():
     roles = plan_steps(8, 1, 4)
-    assert [step_label(PolicyKind.CORGI, r) for r in roles] == [
-        "warmup", "boundary", "intra:1", "intra:2", "intra:3",
-        "boundary", "intra:1", "intra:2",
+    assert [(r.kind, r.offset) for r in roles] == [
+        ("warmup", 0), ("boundary", 0), ("intra", 1), ("intra", 2), ("intra", 3),
+        ("boundary", 0), ("intra", 1), ("intra", 2),
     ]
 
 

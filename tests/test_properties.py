@@ -86,7 +86,7 @@ def test_traces_round_trip_and_repeat_byte_for_byte(setup):
 def test_a_trace_stores_no_derived_value_and_derives_the_same_after_loading(setup):
     # the cost, equivalent_to_reference and each step's cached blocks are
     # read from the modes, the picks and the config echo; a document that
-    # carries any of them back is not a corgi-trace/3 document
+    # carries any of them back is not a corgi-trace/4 document
     model, x = setup
     for policy, warmup, refresh in itertools.product(PolicyKind, (None, 0), (False, True)):
         t = run_with_policy(model, x, None, CorgiConfig(
@@ -260,7 +260,7 @@ def test_cross_maps_are_formed_only_where_a_pick_reads_them(setup):
             assert sorted({s for s, made in formed if made}) == picks
             # a pick step computes every block in full, and each forms its map
             assert sum(made for _, made in formed) == len(picks) * mc.num_blocks
-            assert sorted({e["step"] for e in trace.saliency or ()}) == picks
+            assert len(trace.saliency or ()) == len(picks) * mc.num_blocks
             assert len(cached_maps) == sum(len(r.cached) for r in trace.steps)
             assert all(m is None for m in cached_maps)
         formed.clear()

@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import re
 import sys
 import weakref
 from dataclasses import asdict
@@ -28,7 +29,7 @@ from corgi.contribution import rank_ascending
 from corgi.cost import flops_block
 from corgi.model import Block, BlockOutputs, attention_rows, ffn_forward
 from corgi.numerics import softmax_rows
-from corgi.policy import select_cached
+from corgi.policy import plan_steps, select_cached
 from corgi.runtime import execute_block_cached, execute_block_corgi_plus
 from corgi.saliency import build_mask
 from helpers import bit_identical_to_reference, toy_setup
@@ -272,8 +273,9 @@ def test_worked_schedule_cached_counts():
 def test_boundary_and_warmup_steps_never_cache():
     model, x = toy_setup(2)
     trace = run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.CORGI))
-    for rec in trace.steps:
-        if rec.role in ("warmup", "boundary"):
+    roles = plan_steps(len(trace.steps), trace.config["warmup"], trace.config["interval"])
+    for rec, role in zip(trace.steps, roles, strict=True):
+        if role.kind in ("warmup", "boundary"):
             assert rec.cached == ()
             assert all(m == "full" for m in rec.modes)
 
@@ -282,9 +284,8 @@ def test_intra_caches_lowest_contribution_prefix():
     model, x = toy_setup(3)
     cfg = CorgiConfig(policy=PolicyKind.CORGI, warmup=2, interval=5, gamma=3, delta=1)
     trace = run_with_policy(model, x, None, cfg)
-    boundary_scores = {c["step"]: c["scores"] for c in trace.contributions}
-    assert set(boundary_scores) == {2, 7}
-    ranking = rank_ascending(boundary_scores[2])
+    assert len(trace.contributions) == 2  # the boundaries at steps 2 and 7
+    ranking = rank_ascending(trace.contributions[0])
     intra1 = trace.steps[3]
     assert set(intra1.cached) == select_cached(ranking, 3)
     # nested growth within the interval
@@ -327,8 +328,8 @@ def test_naive_baseline_caches_half_each_step():
     model, x = toy_setup(7)
     trace = run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.PER_STEP_NAIVE))
     warmup = trace.config["warmup"]
-    for rec in trace.steps:
-        assert len(rec.cached) == (0 if rec.step < warmup else 4)
+    for s, rec in enumerate(trace.steps):
+        assert len(rec.cached) == (0 if s < warmup else 4)
 
 
 def test_random_baseline_is_seeded_and_varies():
@@ -338,7 +339,7 @@ def test_random_baseline_is_seeded_and_varies():
     assert [r.cached for r in a.steps] == [r.cached for r in b.steps]
     c = run_with_policy(model, x, None, CorgiConfig(policy=PolicyKind.RANDOM, seed=2))
     assert [r.cached for r in a.steps] != [r.cached for r in c.steps]
-    post = [r for r in a.steps if r.step >= a.config["warmup"]]
+    post = a.steps[a.config["warmup"]:]
     assert all(len(r.cached) == 4 for r in post)
     assert len({r.cached for r in post}) > 1  # fresh sample per step
 
@@ -362,7 +363,9 @@ def test_corgi_plus_records_saliency_and_partial_modes():
     for entry in trace.saliency:
         assert 1 <= len(entry["text"]) <= 2
         assert len(entry["image"]) >= 1
-    intra_modes = {m for r in trace.steps if r.role.startswith("intra") for m in r.modes}
+    roles = plan_steps(len(trace.steps), trace.config["warmup"], trace.config["interval"])
+    intra = [r for r, role in zip(trace.steps, roles, strict=True) if role.kind == "intra"]
+    intra_modes = {m for r in intra for m in r.modes}
     assert "cached_partial" in intra_modes
     assert "cached" not in intra_modes
 
@@ -392,8 +395,9 @@ def test_refreshed_saliency_is_charged_at_the_sizes_each_step_used(monkeypatch):
     ) + mc.total_steps * mc.image_tokens * mc.hidden_dim ** 2  # the eps head
     assert next(sizes, None) is None
     assert trace.cost.flops_actual == want
-    boundaries = [r.step for r in trace.steps if r.role == "boundary"]
-    assert [e["step"] for e in trace.saliency] == [s for s in boundaries for _ in range(mc.num_blocks)]
+    roles = plan_steps(mc.total_steps, trace.config["warmup"], cfg.interval)
+    boundaries = [s for s, role in enumerate(roles) if role.kind == "boundary"]
+    assert len(trace.saliency) == len(boundaries) * mc.num_blocks  # a pick at every boundary
 
 
 def test_salient_writeback_is_unobservable_with_static_sets(monkeypatch):
@@ -581,9 +585,10 @@ def test_trace_json_keys_follow_the_record_fields():
     assert list(d) == [
         "schema", "created_at", "config", "steps", "contributions", "saliency", "final_output",
     ]
-    assert list(d["steps"][0]) == ["step", "role", "modes", "checksum", "noise_pred"]
-    assert list(d["steps"][0]["noise_pred"]) == ["shape", "f64le"]
-    assert list(d["final_output"]) == ["shape", "f64le"]
+    assert list(d["steps"][0]) == ["modes", "checksum", "noise_pred"]
+    assert list(d["saliency"][0]) == ["text", "image"]
+    # the config echo fixes each array's shape, so an array is its base64 alone
+    assert type(d["steps"][0]["noise_pred"]) is str and type(d["final_output"]) is str
     d["comment"] = "not a field"
     with pytest.raises(TypeError, match="comment"):
         Trace.from_json(json.dumps(d))
@@ -595,10 +600,12 @@ def _tiny_trace():
 
 
 def test_trace_arrays_round_trip_bit_for_bit():
-    extremes = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1.7976931348623157e308]])
-    strided = np.arange(24, dtype=np.float64).reshape(4, 6) / 7.0
-    for final, step_pred in ((extremes, extremes.T), (strided.T, strided[::2, 1::3])):
-        assert not step_pred.flags.c_contiguous
+    # arrays of the config echo's shape, image_tokens x hidden_dim = 16 x 8
+    extremes = [[-0.0, 5e-324], [1.7976931348623157e308, -1.7976931348623157e308]]
+    strided = np.arange(768, dtype=np.float64).reshape(32, 24) / 7.0
+    for final, step_pred in ((np.tile(extremes, (8, 4)), np.tile(extremes, (4, 8)).T),
+                             (strided[:8, :16].T, strided[::2, 1::3])):
+        assert not step_pred.flags.c_contiguous and final.shape == step_pred.shape == (16, 8)
         trace = _tiny_trace()
         trace.final_output, trace.steps[0].noise_pred = final, step_pred
         back = Trace.from_json(trace.to_json())
@@ -612,16 +619,13 @@ def test_trace_arrays_round_trip_bit_for_bit():
 def test_trace_rejects_malformed_array_payloads():
     d = json.loads(_tiny_trace().to_json())
     payload = d["final_output"]
-    short = base64.b64encode(base64.b64decode(payload["f64le"])[:-8]).decode("ascii")
-    # a stray character that a lenient decoder would skip; a shape that
-    # reshape alone would accept
-    stray = payload["f64le"][:4] + "!" + payload["f64le"][4:]
-    for bad in ({**payload, "f64le": short}, {**payload, "f64le": stray},
-                {**payload, "shape": [payload["shape"][0] + 1, payload["shape"][1]]},
-                {**payload, "shape": [-1]}):
+    short = base64.b64encode(base64.b64decode(payload)[:-8]).decode("ascii")
+    # a stray character that a lenient decoder would skip
+    stray = payload[:4] + "!" + payload[4:]
+    for bad in (short, stray):
         with pytest.raises(ValueError):
             Trace.from_dict({**d, "final_output": bad})
-    step = {**d["steps"][0], "noise_pred": {**payload, "f64le": short}}
+    step = {**d["steps"][0], "noise_pred": short}
     with pytest.raises(ValueError):
         Trace.from_dict({**d, "steps": [step, *d["steps"][1:]]})
 
@@ -629,13 +633,25 @@ def test_trace_rejects_malformed_array_payloads():
 def test_trace_rejects_other_schemas():
     trace = _tiny_trace()
     d = json.loads(trace.to_json())
-    # a corgi-trace/2 file also stored each step's cached blocks, the cost
-    # and equivalent_to_reference; a corgi-trace/1 file stored its arrays as
-    # nested float lists besides
-    v2 = {
+    # a corgi-trace/3 file stored each step's index and role, each
+    # contribution's step and each array's shape; a corgi-trace/2 file also
+    # stored each step's cached blocks, the cost and equivalent_to_reference;
+    # a corgi-trace/1 file stored its arrays as nested float lists besides
+    shape = list(trace.final_output.shape)
+    v3 = {
         **d,
+        "schema": "corgi-trace/3",
+        "steps": [
+            {"step": s, "role": role, **r, "noise_pred": {"shape": shape, "f64le": r["noise_pred"]}}
+            for s, (r, role) in enumerate(zip(d["steps"], ["warmup", "boundary", "intra:1"]))
+        ],
+        "contributions": [{"step": 1, "scores": c} for c in d["contributions"]],
+        "final_output": {"shape": shape, "f64le": d["final_output"]},
+    }
+    v2 = {
+        **v3,
         "schema": "corgi-trace/2",
-        "steps": [{**r, "cached": list(s.cached)} for r, s in zip(d["steps"], trace.steps)],
+        "steps": [{**r, "cached": list(s.cached)} for r, s in zip(v3["steps"], trace.steps)],
         "cost": {**asdict(trace.cost), "per_step": []},
         "equivalent_to_reference": trace.equivalent_to_reference,
     }
@@ -645,12 +661,12 @@ def test_trace_rejects_other_schemas():
         "steps": [{**r, "noise_pred": p.tolist()} for r, p in zip(v2["steps"], trace.noise_preds)],
         "final_output": trace.final_output.tolist(),
     }
-    for schema, doc in (("corgi-trace/1", v1), ("corgi-trace/2", v2),
-                        ("corgi-trace/4", {**d, "schema": "corgi-trace/4"})):
-        with pytest.raises(ValueError, match=f"'{schema}'.*'corgi-trace/3'"):
+    for schema, doc in (("corgi-trace/1", v1), ("corgi-trace/2", v2), ("corgi-trace/3", v3),
+                        ("corgi-trace/5", {**d, "schema": "corgi-trace/5"})):
+        with pytest.raises(ValueError, match=f"'{schema}'.*'corgi-trace/4'"):
             Trace.from_json(json.dumps(doc))
     without = {k: v for k, v in d.items() if k != "schema"}
-    with pytest.raises(ValueError, match="None.*'corgi-trace/3'"):
+    with pytest.raises(ValueError, match="None.*'corgi-trace/4'"):
         Trace.from_dict(without)
 
 
@@ -677,14 +693,11 @@ def test_a_hand_edited_trace_that_contradicts_its_modes_does_not_load():
 
 
 def test_a_trace_whose_steps_or_modes_do_not_fit_its_config_echo_does_not_load():
-    d = json.loads(_tiny_trace().to_json())  # 3 steps of 2 blocks
-    steps = d["steps"]
+    d = json.loads(_tiny_trace().to_json())  # 3 steps of 2 blocks, one boundary
+    steps, scores = d["steps"], d["contributions"][0]
 
     def with_modes(step, modes):
-        return {**d, "steps": [{**r, "modes": modes} if r["step"] == step else r for r in steps]}
-
-    def with_record(index, **changed):
-        return {**d, "steps": [{**r, **changed} if r["step"] == index else r for r in steps]}
+        return {**d, "steps": [*steps[:step], {**steps[step], "modes": modes}, *steps[step + 1:]]}
 
     for doc, message in (
         ({**d, "steps": steps[:-1]}, "trace has 2 steps, its config 3"),
@@ -693,21 +706,36 @@ def test_a_trace_whose_steps_or_modes_do_not_fit_its_config_echo_does_not_load()
         (with_modes(1, ["full", "cached", "full"]), "step 1 has 3 modes, its config 2 blocks"),
         (with_modes(2, ["turbo", "full"]), r"step 2 has unknown modes \['turbo'\]"),
         (with_modes(0, ["skip", "turbo"]), r"step 0 has unknown modes \['skip', 'turbo'\]"),
-        (with_record(1, step=7), "step 1 records step 7 and role 'boundary'"),
-        (with_record(1, step=True), "step 1 records step True"),
-        (with_record(0, step=0.0), "step 0 records step 0.0"),
-        (with_record(2, role="bogus"),
-         "step 2 records step 2 and role 'bogus', its config step 2 and role 'intra:1'"),
-        (with_record(0, role="boundary"), "step 0 records step 0 and role 'boundary'"),
+        ({**d, "contributions": []}, r"trace has \[\] contribution scores per boundary, "
+                                     r"its config \[2\]"),
+        ({**d, "contributions": [scores, scores]}, r"trace has \[2, 2\] contribution scores"),
+        ({**d, "contributions": [scores[:1]]}, r"trace has \[1\] contribution scores"),
+        ({**d, "config": {**d["config"], "policy": "parity"}},
+         r"trace has \[2\] contribution scores per boundary, its config \[\]"),
     ):
         with pytest.raises(ValueError, match=message):
             Trace.from_json(json.dumps(doc))
 
 
+def test_a_trace_whose_contribution_scores_or_checksums_are_malformed_does_not_load():
+    # a corgi-trace/3 trace whose contributions held "x", or whose step-0
+    # checksum read 5, loaded
+    d = json.loads(_tiny_trace().to_json())  # 3 steps of 2 blocks, one boundary
+    score = d["contributions"][0][1]
+    for bad in ("x", math.nan, math.inf, 1.5, -0.25, True, 1, None):
+        with pytest.raises(ValueError, match=f"contribution score {bad!r} is not a float in"):
+            Trace.from_json(json.dumps({**d, "contributions": [[bad, score]]}))
+    checksum = d["steps"][0]["checksum"]
+    for bad in (5, None, checksum.upper(), checksum[:-1], checksum + "0", "g" + checksum[1:]):
+        step = {**d["steps"][0], "checksum": bad}
+        with pytest.raises(ValueError, match=f"step 0 has checksum {re.escape(repr(bad))}, not a"):
+            Trace.from_json(json.dumps({**d, "steps": [step, *d["steps"][1:]]}))
+
+
 def test_a_corgi_plus_trace_whose_picks_do_not_fit_its_config_echo_does_not_load():
     # a corgi_plus trace at the CLI defaults; unchecked, a trace without its
     # picks loaded and charged its partial blocks at s = 0 (speedup 1.548 in
-    # place of 1.423), and a pick naming block 99 loaded too
+    # place of 1.423)
     import corgi.cli as cli
 
     model, x = cli.setup(cli.DEFAULTS)
@@ -721,31 +749,30 @@ def test_a_corgi_plus_trace_whose_picks_do_not_fit_its_config_echo_does_not_load
     def with_picks(*changed):
         return {**d, "saliency": [*changed, *picks[len(changed):]]}
 
+    # a pick's step and block are its position: B picks at each step
+    # pick_steps names, here the first boundary, step 2
+    partial_at_0 = {**d["steps"][0], "modes": ["cached_partial"] + d["steps"][0]["modes"][1:]}
     for doc, message in (
-        ({**d, "saliency": None}, "step 3 has a cached_partial block with no pick in force"),
-        ({**d, "saliency": picks[1:]}, "step 6 has a cached_partial block with no pick in force"),
-        (with_picks({**first, "block": 99, "image": list(range(500))}),
-         "pick at step 2, block 99 is outside its config's 12 steps of 8 blocks"),
-        (with_picks({**first, "block": -1}), "pick at step 2, block -1 is outside"),
-        (with_picks({**first, "step": 12}), "pick at step 12, block 0 is outside"),
-        ({**d, "saliency": [*picks, {**first, "step": 1}]},
-         "pick at step 1 comes after a pick at step 2"),
+        ({**d, "saliency": None}, r"trace has 0 picks, its config 8 \(8 blocks at steps \[2\]\)"),
+        ({**d, "saliency": picks[1:]}, "trace has 7 picks, its config 8"),
+        ({**d, "saliency": [*picks, *picks]}, "trace has 16 picks, its config 8"),
+        ({**d, "config": {**d["config"], "refresh_saliency": True}},
+         r"trace has 8 picks, its config 16 \(8 blocks at steps \[2, 7\]\)"),
+        ({**d, "steps": [partial_at_0, *d["steps"][1:]]},
+         "step 0 has a cached_partial block with no pick in force"),
         (with_picks({**first, "image": [mc["image_tokens"]]}),
          f"image index {mc['image_tokens']} out of range"),
         (with_picks({**first, "text": [mc["text_tokens"]]}),
          f"text index {mc['text_tokens']} out of range"),
         (with_picks({**first, "image": [3, 1]}), "image indices .* are not ascending"),
         (with_picks({**first, "text": [0.5]}), "text indices .* are not all integers"),
-        (with_picks({**first, "step": 2.0}), "a pick's step must be an int, got 2.0"),
-        (with_picks({**first, "block": 0.0}), "a pick's block must be an int, got 0.0"),
-        (with_picks({**first, "step": False}), "a pick's step must be an int, got False"),
     ):
         with pytest.raises(ValueError, match=message):
             Trace.from_json(json.dumps(doc))
 
     # reading the cost of a trace edited in memory runs the same checks
     trace.saliency = None
-    with pytest.raises(ValueError, match="step 3 has a cached_partial block with no pick in force"):
+    with pytest.raises(ValueError, match="trace has 0 picks, its config 8"):
         trace.cost
     trace.saliency, trace.steps = d["saliency"], trace.steps[:-1]
     with pytest.raises(ValueError, match="trace has 11 steps, its config 12"):
