@@ -11,12 +11,17 @@ time: each job runs in both copies back to back, and which copy goes first
 alternates from job to job and pair to pair. One untimed list per copy goes
 first. A job list is one perfbench pass at the workload's shape and input
 seed 0: the ``run_reference`` calls, then each policy's run with its
-divergence and JSON round trip, or ``analyze_model``.
+divergence and JSON round trip, or ``analyze_model``. The job lists
+``compare_wide_cli`` and ``compare_deep_cli`` are one job each
+(``compare``): ``cli.cmd_compare`` in process, model setup included, at
+that workload's shape, input seed 0 and policy list. The job's bits are its
+stdout (the JSON report); its stderr (the table) is discarded.
 
 It prints one JSON line: for the whole list (``pass``), the reference calls
 (``reference``) and each run, the median and quartiles of the per-pair
 ratio B/A, and whether both copies gave the same bits (every reference
-latent, every step checksum and noise prediction, the ablation maps).
+latent, every step checksum and noise prediction, the ablation maps, the
+compare report).
 
 Same-host drift cancels within a pair, so a few percent resolve in tens of
 pairs. Copy A is imported first, and load order alone moved the ratio by
@@ -30,11 +35,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import io
 import json
 import os
 import shutil
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
@@ -59,6 +66,8 @@ WORKLOADS = {
         4,
     ),
 }
+# the corgi compare command at a compare workload's shape and policy list
+CLI_WORKLOADS = {f"{w}_cli": w for w in ("compare_wide", "compare_deep")}
 
 
 def load_copy(src: str, name: str, root: Path):
@@ -71,9 +80,17 @@ def job_list(pkg, workload: str) -> list:
     """The workload's pass for one copy, as (label, job) pairs; a job takes
     the pass's state (the last reference trajectory) and returns the bytes
     that stand for its output's bits."""
-    shape, policies, repeats = WORKLOADS[workload]
+    shape, policies, repeats = WORKLOADS[CLI_WORKLOADS.get(workload, workload)]
     cli, model, runtime, analysis = pkg["cli"], pkg["model"], pkg["runtime"], pkg["analysis"]
     cfg = {**cli.DEFAULTS, **shape, "seed": 0}
+    if workload in CLI_WORKLOADS:
+        def compare(state: dict) -> bytes:
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                cli.cmd_compare(None, {**cfg, "policies": ",".join(policies)})
+            return out.getvalue().encode()
+
+        return [("compare", compare)]
     m, x = cli.setup(cfg)
 
     def reference(state: dict) -> bytes:
@@ -108,7 +125,9 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_a")
     parser.add_argument("src_b")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="compare_deep")
+    parser.add_argument(
+        "--workload", choices=sorted([*WORKLOADS, *CLI_WORKLOADS]), default="compare_deep"
+    )
     parser.add_argument("--pairs", type=int, default=30)
     parser.add_argument("--cpu", type=int, default=max(os.sched_getaffinity(0)))
     args = parser.parse_args(argv)

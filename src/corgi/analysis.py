@@ -69,9 +69,12 @@ class DivergenceReport:
     final_cosine: float
 
 
-def divergence(trace: Trace, reference: ReferenceTrajectory) -> DivergenceReport:
+def divergence(trace: Trace, reference: ReferenceTrajectory | Trace) -> DivergenceReport:
     """MSE and cosine of the predicted noise at every step, plus the final
-    latent; zero MSE at a step means the step is value-identical."""
+    latent; zero MSE at a step means the step is value-identical. The
+    reference is the full-compute run: a :func:`run_reference` trajectory or,
+    bit for bit the same, the trace of a run under none; only its noise
+    predictions and final output are read."""
     _check_same_shapes(trace.noise_preds, reference.noise_preds)
     pairs = [
         *zip(trace.noise_preds, reference.noise_preds),

@@ -3,8 +3,8 @@
 Subcommands:
 
     run      execute one configuration and write its trace JSON
-    compare  run several policies against the reference and report
-             divergence plus analytic cost
+    compare  run several policies against the reference (the none run,
+             computed once) and report divergence plus analytic cost
     ablate   block-ablation cosine maps and the adjacent-step similarity series
 
 Flags mirror JSON config-file keys (underscored); explicit flags override the
@@ -27,7 +27,7 @@ import sys
 from dataclasses import asdict, fields
 
 from .analysis import analyze_model, divergence
-from .model import ModelConfig, build_model, run_reference
+from .model import ModelConfig, build_model
 from .numerics import SeededRng, derive_seed
 from .policy import PARITY_CHOICES, RESIDUAL_CHOICES, CorgiConfig, PolicyKind
 from .runtime import run_with_policy
@@ -201,11 +201,11 @@ def cmd_compare(parser: argparse.ArgumentParser, cfg: dict) -> int:
         if p not in known:
             parser.error(f"unknown policy {p!r} in --policies")
     model, x_init = setup(cfg)
-    reference = run_reference(model, x_init)
+    reference = run_with_policy(model, x_init, None, policy_config(cfg, "none"))
 
     rows = []
     for p in policies:  # sequential, report assembled in list order
-        trace = run_with_policy(model, x_init, None, policy_config(cfg, p))
+        trace = reference if p == "none" else run_with_policy(model, x_init, None, policy_config(cfg, p))
         div = divergence(trace, reference)
         rows.append({"policy": p, **asdict(trace.cost), **asdict(div)})
 

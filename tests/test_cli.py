@@ -3,14 +3,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import corgi
-from corgi.cli import DEFAULTS, build_parser, main
-from corgi.runtime import Trace
+import corgi.runtime
+from corgi.analysis import divergence
+from corgi.cli import DEFAULTS, build_parser, main, merge_config, policy_config, setup
+from corgi.model import run_reference
+from corgi.runtime import Trace, run_with_policy
 
 SMALL = ["--steps", "6", "--blocks", "4", "--dim", "16", "--ffn-dim", "16",
          "--heads", "2", "--text-tokens", "3", "--image-tokens", "5"]
@@ -241,6 +245,49 @@ def test_compare_table_right_aligns_each_blocks_cell_under_its_header(capsys):
     for row, run in zip(rows, json.loads(captured.out)["runs"], strict=True):
         cell = f"{run['blocks_computed']}/{run['blocks_total']}"
         assert row[end - len(cell) - 1 : end] == " " + cell, row
+
+
+@pytest.mark.parametrize(
+    "flags, runs, rows",
+    [
+        ([], ["none", "corgi", "corgi_plus"], ["none", "corgi", "corgi_plus"]),
+        (["--policies", "corgi,parity"], ["none", "corgi", "parity"], ["corgi", "parity"]),
+        (["--policies", "none"], ["none"], ["none"]),
+    ],
+)
+def test_compare_runs_each_listed_policy_once(monkeypatch, capsys, flags, runs, rows):
+    # the none run is the reference and its own row; a list without none
+    # still runs it first, as the reference. run_reference imports denoise
+    # when it is called, so the wrapper counts its runs too
+    seen = []
+    denoise = corgi.runtime.denoise
+
+    def spy(model, x, text_embed, rcfg, record):
+        seen.append(rcfg.policy.value)
+        return denoise(model, x, text_embed, rcfg, record)
+
+    monkeypatch.setattr(corgi.runtime, "denoise", spy)
+    assert main(["compare", *SMALL, *flags, "--seed", "1"]) == 0
+    assert seen == runs
+    assert [r["policy"] for r in json.loads(capsys.readouterr().out)["runs"]] == rows
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_compare_report_equals_one_built_against_run_reference(capsys, seed):
+    # compare takes its none run as the reference; a report built against a
+    # separate run_reference must match it byte for byte
+    policies = ["none", "corgi", "corgi_plus", "per_step_naive", "parity", "random"]
+    assert main(["compare", *SMALL, "--policies", ",".join(policies), "--seed", str(seed)]) == 0
+    args = build_parser().parse_args(["compare", *SMALL, "--seed", str(seed)])
+    cfg = merge_config(args.parser, args)
+    model, x_init = setup(cfg)
+    reference = run_reference(model, x_init)
+    rows = []
+    for p in policies:
+        trace = run_with_policy(model, x_init, None, policy_config(cfg, p))
+        rows.append({"policy": p, **asdict(trace.cost), **asdict(divergence(trace, reference))})
+    report = json.dumps({"schema": "corgi-compare/1", "runs": rows}, indent=2) + "\n"
+    assert capsys.readouterr().out == report
 
 
 def test_compare_rejects_unknown_policy():
